@@ -51,7 +51,6 @@
 #include "cost/kernel_cost.h"
 #include "exec/cpu_backend.h"
 #include "exec/executor.h"
-#include "exec/kernels_blocked.h"
 #include "exec/simd_dispatch.h"
 #include "opt/pass.h"
 #include "runtime/plan_executor.h"
@@ -161,7 +160,8 @@ int
 runCheck(const bench::BenchOptions &opts, const ThroughputOptions &t)
 {
     auto dev = bench::resolveDevice(opts, "adreno740");
-    const exec::TileParams tiles = exec::resolveTileParams(dev);
+    const exec::CpuBackendOptions eo =
+        exec::cpuBackendOptionsFor(dev, opts.threads, kSeed);
     int failures = 0;
     int checks = 0;
     for (const auto &name : t.models) {
@@ -172,11 +172,6 @@ runCheck(const bench::BenchOptions &opts, const ThroughputOptions &t)
             auto inputs = exec::makeSeededInputs(plan.graph, ex);
             auto ref = ex.runOutputs(plan.graph, inputs);
             for (const auto &backend : runtime::executorNames()) {
-                runtime::ExecutorOptions eo;
-                eo.threads = opts.threads;
-                eo.seed = kSeed;
-                eo.gemmRowTile = tiles.rowTile;
-                eo.gemmKBlock = tiles.kBlock;
                 auto got = runtime::makeExecutor(backend, eo)
                                ->run(plan, inputs);
                 float rd = exec::maxRelDiff(ref, got);
@@ -192,12 +187,9 @@ runCheck(const bench::BenchOptions &opts, const ThroughputOptions &t)
                 }
             }
             // Thread-count determinism: byte-identical outputs.
-            runtime::ExecutorOptions serial;
+            exec::CpuBackendOptions serial = eo;
             serial.threads = 1;
-            serial.seed = kSeed;
-            serial.gemmRowTile = tiles.rowTile;
-            serial.gemmKBlock = tiles.kBlock;
-            runtime::ExecutorOptions pooled = serial;
+            exec::CpuBackendOptions pooled = eo;
             pooled.threads = opts.threads > 1 ? opts.threads : 4;
             auto a = runtime::makeExecutor("cpu-blocked", serial)
                          ->run(plan, inputs);
@@ -288,14 +280,15 @@ run(const bench::BenchOptions &opts, bool print, bench::JsonReport &json)
 {
     const ThroughputOptions &t = g_topts;
     auto dev = bench::resolveDevice(opts, "adreno740");
-    const exec::TileParams tiles = exec::resolveTileParams(dev);
+    const exec::CpuBackendOptions eo =
+        exec::cpuBackendOptionsFor(dev, opts.threads, kSeed);
     const char *simd = exec::simdLevelName(exec::activeSimdLevel());
     const int min_batch =
         *std::min_element(t.batches.begin(), t.batches.end());
 
     json.setMeta("simd", simd);
-    json.setMeta("gemm_row_tile", std::to_string(tiles.rowTile));
-    json.setMeta("gemm_k_block", std::to_string(tiles.kBlock));
+    json.setMeta("gemm_row_tile", std::to_string(eo.gemmRowTile));
+    json.setMeta("gemm_k_block", std::to_string(eo.gemmKBlock));
     json.setMeta("peak_gmacs",
                  formatFixed(dev.peakMacsPerSec / 1e9, 1));
     json.setMeta("global_bw_gbps",
@@ -336,11 +329,6 @@ run(const bench::BenchOptions &opts, bool print, bench::JsonReport &json)
             auto plan3 = core::compileStage(g, dev, 3);
             auto inputs = exec::makeSeededInputs(plan3.graph, ex);
 
-            runtime::ExecutorOptions eo;
-            eo.threads = opts.threads;
-            eo.seed = kSeed;
-            eo.gemmRowTile = tiles.rowTile;
-            eo.gemmKBlock = tiles.kBlock;
             auto blocked = runtime::makeExecutor("cpu-blocked", eo);
             const double s0_ms = timeRun(*blocked, plan0, inputs);
             const double s3_ms = timeRun(*blocked, plan3, inputs);
@@ -421,11 +409,8 @@ run(const bench::BenchOptions &opts, bool print, bench::JsonReport &json)
     {
         report::Table ab({"Model", "AttnKernels", "Fused(ms)",
                           "Unfused(ms)", "Gain", "ScoreMB"});
-        runtime::ExecutorOptions serial;
+        exec::CpuBackendOptions serial = eo;
         serial.threads = 1;
-        serial.seed = kSeed;
-        serial.gemmRowTile = tiles.rowTile;
-        serial.gemmKBlock = tiles.kBlock;
         for (const auto &name : t.models) {
             auto g = models::buildModel(name, min_batch);
             const double gmacs =
@@ -455,9 +440,9 @@ run(const bench::BenchOptions &opts, bool print, bench::JsonReport &json)
             const double fused_ms =
                 std::min(timeRun(*sbe, fusedPlan, inOn),
                          timeRun(*sbe, fusedPlan, inOn));
-            const double score_mb =
-                static_cast<double>(sbe->scoreBytesAvoided()) / 2.0 /
-                1e6;
+            // Each run overwrites the record: these are one run's
+            // figures, in formatBytes' 1024-based MB.
+            const exec::CpuBackendStats &fusedStats = sbe->stats();
             auto mbe = runtime::makeExecutor("cpu-blocked", serial);
             const double unfused_ms =
                 std::min(timeRun(*mbe, unfusedPlan, inOff),
@@ -465,11 +450,15 @@ run(const bench::BenchOptions &opts, bool print, bench::JsonReport &json)
 
             const double gain = unfused_ms / fused_ms;
             g_bestAttentionGain = std::max(g_bestAttentionGain, gain);
-            ab.addRow({name, std::to_string(attn),
+            ab.addRow({name,
+                       std::to_string(fusedStats.fusedAttentionKernels),
                        formatFixed(fused_ms, 1),
                        formatFixed(unfused_ms, 1),
                        report::formatSpeedup(gain),
-                       formatFixed(score_mb, 1)});
+                       formatFixed(static_cast<double>(
+                                       fusedStats.scoreBytesAvoided) /
+                                       (1024.0 * 1024.0),
+                                   1)});
         }
         const std::string ab_title =
             "Fused attention A/B, batch " + std::to_string(min_batch) +

@@ -44,7 +44,6 @@
 #include "bench/bench_util.h"
 #include "core/compile_session.h"
 #include "exec/executor.h"
-#include "exec/kernels_blocked.h"
 #include "models/graph_source.h"
 #include "models/model_registry.h"
 #include "models/models.h"
@@ -221,16 +220,9 @@ class Verifier
         }
         const runtime::ExecutionPlan &plan = *it->second;
         auto inputs = serve::makeRequestInputs(plan.graph, seed_, salt);
-        if (!executor_) {
-            runtime::ExecutorOptions eo;
-            eo.threads = 1;
-            eo.seed = seed_;
-            const exec::TileParams tiles =
-                exec::resolveTileParams(dev_);
-            eo.gemmRowTile = tiles.rowTile;
-            eo.gemmKBlock = tiles.kBlock;
-            executor_ = runtime::makeExecutor(backend_, eo);
-        }
+        if (!executor_)
+            executor_ = runtime::makeExecutor(
+                backend_, exec::cpuBackendOptionsFor(dev_, 1, seed_));
         auto ref = executor_->run(plan, inputs);
         if (ref.size() != got.size())
             return false;

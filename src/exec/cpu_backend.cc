@@ -1113,12 +1113,26 @@ PlanRunner::run(CpuBackendStats *stats_out)
     stats_.simdLevel = simd_;
     stats_.tileRowTile = tiles_.rowTile;
     stats_.tileKBlock = tiles_.kBlock;
+    stats_.threads = par_.threads();
     if (stats_out)
         *stats_out = stats_;
     return out;
 }
 
 } // namespace
+
+CpuBackendOptions
+cpuBackendOptionsFor(const device::DeviceProfile &dev, int threads,
+                     std::uint64_t seed)
+{
+    const TileParams tiles = resolveTileParams(dev);
+    CpuBackendOptions o;
+    o.threads = threads;
+    o.seed = seed;
+    o.gemmRowTile = tiles.rowTile;
+    o.gemmKBlock = tiles.kBlock;
+    return o;
+}
 
 CpuBackend::CpuBackend(CpuBackendOptions options)
     : options_(options)

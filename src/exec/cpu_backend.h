@@ -37,6 +37,10 @@
 #include "exec/tensor.h"
 #include "runtime/plan.h"
 
+namespace smartmem::device {
+struct DeviceProfile;
+}
+
 namespace smartmem::exec {
 
 /** Knobs for a CpuBackend instance. */
@@ -51,10 +55,17 @@ struct CpuBackendOptions
     std::uint64_t seed = 1234;
 
     /** GEMM tile overrides, usually from exec::resolveTileParams() on
-     *  a device profile; 0 = the kernels' built-in defaults. */
+     *  a device profile (see cpuBackendOptionsFor); 0 = the kernels'
+     *  built-in defaults. */
     std::int64_t gemmRowTile = 0;
     std::int64_t gemmKBlock = 0;
 };
+
+/** Options for running plans compiled for `dev`: the given threads
+ *  and seed, GEMM tiles from resolveTileParams(dev). */
+CpuBackendOptions
+cpuBackendOptionsFor(const device::DeviceProfile &dev, int threads,
+                     std::uint64_t seed = CpuBackendOptions().seed);
 
 /** Counters from the most recent CpuBackend::run(). */
 struct CpuBackendStats
@@ -105,6 +116,10 @@ struct CpuBackendStats
     /** Resolved GEMM tile parameters the run used. */
     std::int64_t tileRowTile = 0;
     std::int64_t tileKBlock = 0;
+
+    /** Worker threads the run resolved (options.threads, or the
+     *  SMARTMEM_THREADS / hardware default when that is 0). */
+    int threads = 1;
 };
 
 /** Plan-consuming blocked CPU executor (see file header). */

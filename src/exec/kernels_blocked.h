@@ -46,9 +46,10 @@ namespace smartmem::exec {
 
 /**
  * Static-partition parallel driver over an index range.  Owns a
- * fixed-size support::ThreadPool (created once per executor, reused
- * across every kernel launch, so per-kernel overhead is one
- * submit/wait round, not thread creation).
+ * fixed-size support::ThreadPool, created once per CpuBackend::run()
+ * (a member of that run's PlanRunner) and reused across every kernel
+ * launch in the run, so per-kernel overhead is one submit/wait round,
+ * not thread creation.
  */
 class ParallelRunner
 {

@@ -1,6 +1,5 @@
 #include "runtime/plan_executor.h"
 
-#include "exec/cpu_backend.h"
 #include "runtime/functional_runner.h"
 #include "support/error.h"
 #include "support/strings.h"
@@ -12,7 +11,7 @@ namespace {
 class ReferenceExecutor final : public PlanExecutor
 {
   public:
-    explicit ReferenceExecutor(const ExecutorOptions &opts)
+    explicit ReferenceExecutor(const exec::CpuBackendOptions &opts)
         : seed_(opts.seed)
     {
     }
@@ -30,6 +29,12 @@ class ReferenceExecutor final : public PlanExecutor
         return runPlanFunctional(plan, inputs, seed_);
     }
 
+    const exec::CpuBackendStats &stats() const override
+    {
+        static const exec::CpuBackendStats none;
+        return none;
+    }
+
   private:
     std::uint64_t seed_;
 };
@@ -37,14 +42,9 @@ class ReferenceExecutor final : public PlanExecutor
 class CpuBlockedExecutor final : public PlanExecutor
 {
   public:
-    explicit CpuBlockedExecutor(const ExecutorOptions &opts)
+    explicit CpuBlockedExecutor(const exec::CpuBackendOptions &opts)
+        : backend_(opts)
     {
-        exec::CpuBackendOptions o;
-        o.threads = opts.threads;
-        o.seed = opts.seed;
-        o.gemmRowTile = opts.gemmRowTile;
-        o.gemmKBlock = opts.gemmKBlock;
-        backend_ = exec::CpuBackend(o);
     }
 
     const std::string &name() const override
@@ -60,26 +60,13 @@ class CpuBlockedExecutor final : public PlanExecutor
         return backend_.run(plan, inputs, &stats_);
     }
 
-    std::int64_t poolHighWaterBytes() const override
+    const exec::CpuBackendStats &stats() const override
     {
-        return stats_.poolHighWaterBytes;
+        return stats_;
     }
-
-    int fusedAttentionKernels() const override
-    {
-        return stats_.fusedAttentionKernels;
-    }
-
-    std::int64_t scoreBytesAvoided() const override
-    {
-        return stats_.scoreBytesAvoided;
-    }
-
-    /** Full counters of the most recent run. */
-    const exec::CpuBackendStats &stats() const { return stats_; }
 
   private:
-    exec::CpuBackend backend_{exec::CpuBackendOptions{}};
+    exec::CpuBackend backend_;
     exec::CpuBackendStats stats_;
 };
 
@@ -94,7 +81,8 @@ executorNames()
 }
 
 std::unique_ptr<PlanExecutor>
-makeExecutor(const std::string &name, const ExecutorOptions &options)
+makeExecutor(const std::string &name,
+             const exec::CpuBackendOptions &options)
 {
     if (name == "reference")
         return std::make_unique<ReferenceExecutor>(options);

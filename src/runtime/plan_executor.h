@@ -20,34 +20,16 @@
 #ifndef SMARTMEM_RUNTIME_PLAN_EXECUTOR_H
 #define SMARTMEM_RUNTIME_PLAN_EXECUTOR_H
 
-#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "exec/cpu_backend.h"
 #include "exec/tensor.h"
 #include "runtime/plan.h"
 
 namespace smartmem::runtime {
-
-/** Options shared by every execution backend. */
-struct ExecutorOptions
-{
-    /** Worker threads; 0 = SMARTMEM_THREADS env / hardware default.
-     *  The reference backend is always serial. */
-    int threads = 0;
-
-    /** Seed for synthesized constants; executions to be compared must
-     *  use the same seed. */
-    std::uint64_t seed = 1234;
-
-    /** GEMM tile parameters for the cpu-blocked backend, usually from
-     *  exec::resolveTileParams() on the target's DeviceProfile; 0 =
-     *  kernel defaults.  The reference backend ignores them. */
-    std::int64_t gemmRowTile = 0;
-    std::int64_t gemmKBlock = 0;
-};
 
 /** A plan execution engine. */
 class PlanExecutor
@@ -64,16 +46,11 @@ class PlanExecutor
     run(const ExecutionPlan &plan,
         const std::map<ir::ValueId, exec::Tensor> &inputs) = 0;
 
-    /** Peak bytes of pooled buffers in the most recent run(); 0 for
-     *  backends without a real allocator (reference). */
-    virtual std::int64_t poolHighWaterBytes() const { return 0; }
-
-    /** Streaming fused-attention launches in the most recent run();
-     *  0 for backends without the streaming kernel (reference). */
-    virtual int fusedAttentionKernels() const { return 0; }
-
-    /** Score-matrix bytes those launches avoided materializing. */
-    virtual std::int64_t scoreBytesAvoided() const { return 0; }
+    /** Counters of the most recent run() (each run overwrites the
+     *  record).  The serial reference backend has no allocator, tiles
+     *  or streaming kernels: it reports the default record (threads
+     *  1, every counter 0). */
+    virtual const exec::CpuBackendStats &stats() const = 0;
 };
 
 /** Registered backend names, in registry order. */
@@ -82,11 +59,12 @@ const std::vector<std::string> &executorNames();
 /**
  * Construct a backend by name.  Throws FatalError for unknown names,
  * listing the registered backends -- the same contract as
- * DeviceRegistry::find().
+ * DeviceRegistry::find().  The reference backend reads only
+ * options.seed: it is serial and untiled.
  */
 std::unique_ptr<PlanExecutor>
 makeExecutor(const std::string &name,
-             const ExecutorOptions &options = ExecutorOptions());
+             const exec::CpuBackendOptions &options = {});
 
 } // namespace smartmem::runtime
 

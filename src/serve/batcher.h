@@ -56,6 +56,10 @@ struct QueuedRequest
     BatchKey key;
     std::chrono::steady_clock::time_point enqueueTime;
     std::promise<InferenceResponse> promise;
+    /** Set once the promise is fulfilled or the request is handed to
+     *  another owner, so a failure sweep neither answers nor counts
+     *  it twice. */
+    bool answered = false;
 };
 
 /** Bounded FIFO queue with coalescing pop (see file header). */

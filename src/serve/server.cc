@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "device/device_registry.h"
-#include "exec/kernels_blocked.h"
 #include "runtime/plan_executor.h"
 #include "support/error.h"
 
@@ -29,16 +28,15 @@ batchKeyFingerprint(const BatchKey &key)
 }
 
 /** Fulfill a request's promise; a no-op if this request was already
- *  answered (or moved out), so batch-level failure sweeps are safe
+ *  answered (or handed off), so batch-level failure sweeps are safe
  *  after partial success. */
 void
 respond(QueuedRequest &q, InferenceResponse &&r)
 {
-    try {
-        q.promise.set_value(std::move(r));
-    } catch (const std::future_error &) {
-        // already satisfied / moved-from: someone answered first
-    }
+    if (q.answered)
+        return;
+    q.answered = true;
+    q.promise.set_value(std::move(r));
 }
 
 /** Per-request element count of each listed value in the batch-1
@@ -324,35 +322,15 @@ InferenceServer::inputsFor(const InferenceRequest &request,
 void
 InferenceServer::executeSingles(std::vector<QueuedRequest> &batch,
                                 const runtime::ExecutionPlan &plan1,
-                                const device::DeviceProfile &dev)
+                                runtime::PlanExecutor &executor)
 {
     const std::string &model = batch.front().request.model;
-    std::unique_ptr<runtime::PlanExecutor> executor;
-    try {
-        runtime::ExecutorOptions eo;
-        eo.threads = options_.executorThreads;
-        eo.seed = options_.seed;
-        const exec::TileParams tiles = exec::resolveTileParams(dev);
-        eo.gemmRowTile = tiles.rowTile;
-        eo.gemmKBlock = tiles.kBlock;
-        executor = runtime::makeExecutor(options_.backend, eo);
-    } catch (const std::exception &e) {
-        for (QueuedRequest &q : batch) {
-            stats_.onFailed(model);
-            InferenceResponse r;
-            r.status = ResponseStatus::Failed;
-            r.error = e.what();
-            r.totalMs = msSince(q.enqueueTime);
-            respond(q, std::move(r));
-        }
-        return;
-    }
     for (QueuedRequest &q : batch) {
         try {
             auto inputs = inputsFor(q.request, plan1.graph);
             const double queueMs = msSince(q.enqueueTime);
             const auto execStart = std::chrono::steady_clock::now();
-            auto outputs = executor->run(plan1, inputs);
+            auto outputs = executor.run(plan1, inputs);
             InferenceResponse r;
             r.status = ResponseStatus::Ok;
             r.batchSize = 1;
@@ -381,20 +359,19 @@ InferenceServer::execute(std::vector<QueuedRequest> batch)
     const std::string &model = key.model;
 
     auto failAll = [&](const std::string &error) {
-        // respond() skips requests already answered (or moved into
-        // the survivors vector), so this sweep is safe on any
-        // exception path.
+        // Skipping requests already answered (or handed to the
+        // survivors vector) makes this sweep safe on any exception
+        // path.  Stats are recorded before the promise is fulfilled,
+        // so a caller that sees the response also sees the count.
         for (QueuedRequest &q : batch) {
+            if (q.answered)
+                continue;
+            stats_.onFailed(model);
             InferenceResponse r;
             r.status = ResponseStatus::Failed;
             r.error = error;
             r.totalMs = msSince(q.enqueueTime);
-            try {
-                q.promise.set_value(std::move(r));
-            } catch (const std::future_error &) {
-                continue; // already answered elsewhere
-            }
-            stats_.onFailed(model);
+            respond(q, std::move(r));
         }
     };
 
@@ -408,6 +385,13 @@ InferenceServer::execute(std::vector<QueuedRequest> batch)
             std::lock_guard<std::mutex> lock(mu_);
             dev = devicesByFp_.at(key.deviceFingerprint);
         }
+        // One executor for the whole group, coalesced or not; an
+        // unknown backend name fails every request with the catalog.
+        const std::unique_ptr<runtime::PlanExecutor> executor =
+            runtime::makeExecutor(
+                options_.backend,
+                exec::cpuBackendOptionsFor(dev, options_.executorThreads,
+                                           options_.seed));
 
         core::CompileOptions o1;
         o1.batch = 1;
@@ -457,7 +441,7 @@ InferenceServer::execute(std::vector<QueuedRequest> batch)
         }
 
         if (!plank) {
-            executeSingles(batch, plan1, dev);
+            executeSingles(batch, plan1, *executor);
             return;
         }
 
@@ -488,10 +472,12 @@ InferenceServer::execute(std::vector<QueuedRequest> batch)
         if (!allValid) {
             std::vector<QueuedRequest> rest;
             for (std::size_t b = 0; b < batch.size(); ++b)
-                if (valid[b])
+                if (valid[b]) {
                     rest.push_back(std::move(batch[b]));
+                    batch[b].answered = true; // handed off
+                }
             if (!rest.empty())
-                executeSingles(rest, plan1, dev);
+                executeSingles(rest, plan1, *executor);
             return;
         }
 
@@ -514,14 +500,6 @@ InferenceServer::execute(std::vector<QueuedRequest> batch)
             }
             stacked[idsk[j]] = std::move(t);
         }
-
-        runtime::ExecutorOptions eo;
-        eo.threads = options_.executorThreads;
-        eo.seed = options_.seed;
-        const exec::TileParams tiles = exec::resolveTileParams(dev);
-        eo.gemmRowTile = tiles.rowTile;
-        eo.gemmKBlock = tiles.kBlock;
-        auto executor = runtime::makeExecutor(options_.backend, eo);
 
         std::vector<double> queueMs;
         queueMs.reserve(batch.size());

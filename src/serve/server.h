@@ -52,6 +52,10 @@
 #include "serve/serve_stats.h"
 #include "support/thread_pool.h"
 
+namespace smartmem::runtime {
+class PlanExecutor;
+}
+
 namespace smartmem::serve {
 
 /** Serving configuration; every knob has a usable default. */
@@ -167,7 +171,7 @@ class InferenceServer
     void execute(std::vector<QueuedRequest> batch);
     void executeSingles(std::vector<QueuedRequest> &batch,
                         const runtime::ExecutionPlan &plan1,
-                        const device::DeviceProfile &dev);
+                        runtime::PlanExecutor &executor);
 
     /** Per-request input map against the batch-1 graph: explicit
      *  tensors validated against the declared inputs, or synthesized

@@ -92,7 +92,7 @@ std::vector<exec::Tensor>
 runBackend(const runtime::ExecutionPlan &plan, const std::string &name,
            int threads = 0, int *attention_kernels = nullptr)
 {
-    runtime::ExecutorOptions opts;
+    exec::CpuBackendOptions opts;
     opts.seed = kSeed;
     opts.threads = threads;
     auto engine = runtime::makeExecutor(name, opts);
@@ -100,7 +100,7 @@ runBackend(const runtime::ExecutionPlan &plan, const std::string &name,
     auto inputs = exec::makeSeededInputs(plan.graph, ex);
     auto out = engine->run(plan, inputs);
     if (attention_kernels != nullptr)
-        *attention_kernels = engine->fusedAttentionKernels();
+        *attention_kernels = engine->stats().fusedAttentionKernels;
     return out;
 }
 

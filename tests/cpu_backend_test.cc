@@ -18,6 +18,7 @@
 #include "device/device_profile.h"
 #include "exec/cpu_backend.h"
 #include "exec/executor.h"
+#include "exec/kernels_blocked.h"
 #include "models/models.h"
 #include "runtime/plan_executor.h"
 #include "support/error.h"
@@ -253,13 +254,96 @@ TEST(PlanExecutorRegistry, BackendsAgreeThroughTheFacade)
     exec::Executor ex(kSeed);
     auto inputs = exec::makeSeededInputs(plan.graph, ex);
 
-    runtime::ExecutorOptions o;
+    exec::CpuBackendOptions o;
     o.seed = kSeed;
     auto ref = runtime::makeExecutor("reference", o)->run(plan, inputs);
     auto blocked = runtime::makeExecutor("cpu-blocked", o);
     auto got = blocked->run(plan, inputs);
     EXPECT_LE(exec::maxRelDiff(ref, got), kTolerance);
-    EXPECT_GT(blocked->poolHighWaterBytes(), 0);
+    EXPECT_GT(blocked->stats().poolHighWaterBytes, 0);
+}
+
+/** Every field of two stats records agrees. */
+void
+expectSameRecord(const exec::CpuBackendStats &a,
+                 const exec::CpuBackendStats &b)
+{
+    EXPECT_EQ(a.kernelsExecuted, b.kernelsExecuted);
+    EXPECT_EQ(a.relayoutKernels, b.relayoutKernels);
+    EXPECT_EQ(a.fusedEpilogueOps, b.fusedEpilogueOps);
+    EXPECT_EQ(a.substitutesMaterialized, b.substitutesMaterialized);
+    EXPECT_EQ(a.bytesRelayouted, b.bytesRelayouted);
+    EXPECT_EQ(a.poolHighWaterBytes, b.poolHighWaterBytes);
+    EXPECT_EQ(a.poolReuses, b.poolReuses);
+    EXPECT_EQ(a.nativeLayoutViews, b.nativeLayoutViews);
+    EXPECT_EQ(a.nativeLayoutStores, b.nativeLayoutStores);
+    EXPECT_EQ(a.fusedAttentionKernels, b.fusedAttentionKernels);
+    EXPECT_EQ(a.scoreBytesAvoided, b.scoreBytesAvoided);
+    EXPECT_EQ(a.simdLevel, b.simdLevel);
+    EXPECT_EQ(a.tileRowTile, b.tileRowTile);
+    EXPECT_EQ(a.tileKBlock, b.tileKBlock);
+    EXPECT_EQ(a.threads, b.threads);
+}
+
+TEST(PlanExecutorStats, BlockedRecordMatchesBackendRun)
+{
+    auto dev = device::adreno740();
+    auto g = models::buildTinyVariant("Swin", 1);
+    auto plan = core::compileSmartMem(g, dev);
+    exec::Executor ex(kSeed);
+    auto inputs = exec::makeSeededInputs(plan.graph, ex);
+
+    const exec::CpuBackendOptions o =
+        exec::cpuBackendOptionsFor(dev, 4, kSeed);
+    exec::CpuBackendStats direct;
+    exec::CpuBackend(o).run(plan, inputs, &direct);
+    auto be = runtime::makeExecutor("cpu-blocked", o);
+    be->run(plan, inputs);
+
+    expectSameRecord(be->stats(), direct);
+    EXPECT_GT(direct.poolHighWaterBytes, 0);
+    EXPECT_GT(direct.fusedAttentionKernels, 0);
+    EXPECT_GT(direct.scoreBytesAvoided, 0);
+    EXPECT_EQ(direct.simdLevel, exec::activeSimdLevel());
+    const exec::TileParams tiles = exec::resolveTileParams(dev);
+    EXPECT_EQ(direct.tileRowTile, tiles.rowTile);
+    EXPECT_EQ(direct.tileKBlock, tiles.kBlock);
+    EXPECT_EQ(direct.threads, 4);
+}
+
+TEST(PlanExecutorStats, RecordDescribesOneRunNotASum)
+{
+    auto dev = device::adreno740();
+    auto g = models::buildTinyVariant("Swin", 1);
+    auto plan = core::compileSmartMem(g, dev);
+    exec::Executor ex(kSeed);
+    auto inputs = exec::makeSeededInputs(plan.graph, ex);
+
+    auto be = runtime::makeExecutor(
+        "cpu-blocked", exec::cpuBackendOptionsFor(dev, 1, kSeed));
+    be->run(plan, inputs);
+    const exec::CpuBackendStats once = be->stats();
+    be->run(plan, inputs);
+    expectSameRecord(be->stats(), once);
+    EXPECT_GT(once.scoreBytesAvoided, 0);
+}
+
+TEST(PlanExecutorStats, ReferenceReportsTheDefaultRecord)
+{
+    auto dev = device::adreno740();
+    auto g = models::buildTinyVariant("ViT", 1);
+    auto plan = core::compileSmartMem(g, dev);
+    exec::Executor ex(kSeed);
+    auto inputs = exec::makeSeededInputs(plan.graph, ex);
+
+    // Threads and tiles are requested but the reference runner is
+    // serial and untiled: its record must not echo them.
+    auto be = runtime::makeExecutor(
+        "reference", exec::cpuBackendOptionsFor(dev, 4, kSeed));
+    be->run(plan, inputs);
+    expectSameRecord(be->stats(), exec::CpuBackendStats());
+    EXPECT_EQ(be->stats().threads, 1);
+    EXPECT_EQ(be->stats().tileRowTile, 0);
 }
 
 TEST(CpuBackendSeeds, SeedMismatchChangesOutputs)

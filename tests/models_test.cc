@@ -62,6 +62,14 @@ struct MacsExpectation
     double tolerance; // relative
 };
 
+// Without this, gtest prints the raw bytes of the struct -- including
+// the ASLR-randomized `name` pointer -- into each case's CTest name,
+// so the names would change on every test discovery.
+void PrintTo(const MacsExpectation &e, std::ostream *os)
+{
+    *os << e.name << " (" << e.paperGmacs << " GMACs)";
+}
+
 class ModelMacs : public ::testing::TestWithParam<MacsExpectation>
 {
 };

@@ -106,7 +106,7 @@ expectExecutionParity(const ir::Graph &graph,
     for (int stage : {0, 3}) {
         auto plan = makeStagePlan(graph, stage, dev);
         for (const std::string &backend : runtime::executorNames()) {
-            runtime::ExecutorOptions opts;
+            exec::CpuBackendOptions opts;
             opts.seed = seed;
             auto engine = runtime::makeExecutor(backend, opts);
             auto got = engine->run(plan, inputs);

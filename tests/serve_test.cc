@@ -18,7 +18,6 @@
 #include "core/compile_session.h"
 #include "device/device_registry.h"
 #include "exec/executor.h"
-#include "exec/kernels_blocked.h"
 #include "models/graph_source.h"
 #include "models/model_registry.h"
 #include "models/models.h"
@@ -71,13 +70,9 @@ directOutputs(const models::GraphSource &source, std::uint64_t salt,
     core::CompileSession session(dev, 1);
     auto plan = session.compileSource(source);
     auto inputs = makeRequestInputs(plan->graph, o.seed, salt);
-    runtime::ExecutorOptions eo;
-    eo.threads = 1;
-    eo.seed = o.seed;
-    const exec::TileParams tiles = exec::resolveTileParams(dev);
-    eo.gemmRowTile = tiles.rowTile;
-    eo.gemmKBlock = tiles.kBlock;
-    return runtime::makeExecutor(o.backend, eo)->run(*plan, inputs);
+    return runtime::makeExecutor(o.backend,
+                                 exec::cpuBackendOptionsFor(dev, 1, o.seed))
+        ->run(*plan, inputs);
 }
 
 InferenceRequest
@@ -287,6 +282,40 @@ TEST(ServeRouting, UnknownNamesFailWithCatalog)
     auto st = server.stats();
     EXPECT_EQ(st.global.failed, 4);
     EXPECT_EQ(st.global.served, 1);
+}
+
+TEST(ServeRouting, UnknownBackendFailsEveryRequestWithCatalog)
+{
+    // Singles path (coalescing off) and coalesced path (one batch of
+    // four): every request is answered Failed, naming the backends.
+    for (bool coalesce : {false, true}) {
+        ServerOptions o = baseOptions();
+        o.backend = "nosuch";
+        o.coalesce = coalesce;
+        o.autoStart = false;
+        o.workers = 1;
+        o.maxBatch = 4;
+        o.batchDeadlineMs = 20.0;
+        InferenceServer server(o);
+        std::vector<std::future<InferenceResponse>> futures;
+        for (std::uint64_t salt = 0; salt < 4; ++salt)
+            futures.push_back(
+                server.submit(tinyRequest("tiny:ResNext", salt)));
+        server.start();
+        for (auto &f : futures) {
+            InferenceResponse r = f.get();
+            EXPECT_EQ(r.status, ResponseStatus::Failed);
+            EXPECT_NE(r.error.find("'nosuch'"), std::string::npos)
+                << r.error;
+            EXPECT_NE(r.error.find("registered: reference, cpu-blocked"),
+                      std::string::npos)
+                << r.error;
+        }
+        auto st = server.stats();
+        EXPECT_EQ(st.global.failed, 4) << "coalesce " << coalesce;
+        EXPECT_EQ(st.global.served, 0);
+        EXPECT_EQ(st.global.batches, 0);
+    }
 }
 
 TEST(ServeRouting, GraphFileRequestsFallBackToSingles)

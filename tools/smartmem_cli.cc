@@ -104,7 +104,6 @@
 #include "core/smartmem_compiler.h"
 #include "device/device_registry.h"
 #include "exec/executor.h"
-#include "exec/kernels_blocked.h"
 #include "exec/simd_dispatch.h"
 #include "ir/macs.h"
 #include "models/graph_source.h"
@@ -119,7 +118,6 @@
 #include "runtime/simulated_executor.h"
 #include "support/error.h"
 #include "support/strings.h"
-#include "support/thread_pool.h"
 
 using namespace smartmem;
 
@@ -570,11 +568,8 @@ cmdRun(int argc, char **argv)
                            : "",
                 plan->operatorCount(), dev.name.c_str());
 
-    runtime::ExecutorOptions eo;
-    eo.threads = threads;
-    const exec::TileParams tiles = exec::resolveTileParams(dev);
-    eo.gemmRowTile = tiles.rowTile;
-    eo.gemmKBlock = tiles.kBlock;
+    const exec::CpuBackendOptions eo =
+        exec::cpuBackendOptionsFor(dev, threads);
     std::unique_ptr<runtime::PlanExecutor> be;
     try {
         be = runtime::makeExecutor(backend, eo);
@@ -582,11 +577,6 @@ cmdRun(int argc, char **argv)
         std::fprintf(stderr, "error: %s\n", e.what());
         return 2;
     }
-    // The reference backend is scalar by construction; cpu-blocked
-    // dispatches at runtime (SMARTMEM_SIMD overrides detection).
-    const char *simd = backend == "cpu-blocked"
-                           ? exec::simdLevelName(exec::activeSimdLevel())
-                           : "scalar";
 
     exec::Executor ex(eo.seed);
     auto inputs = exec::makeSeededInputs(plan->graph, ex);
@@ -609,25 +599,29 @@ cmdRun(int argc, char **argv)
     for (const auto &t : outputs)
         for (std::int64_t i = 0; i < t.numElements(); ++i)
             checksum += static_cast<double>(t.at(i));
+    // Everything below describes the last run, as the backend
+    // recorded it.
+    const exec::CpuBackendStats &st = be->stats();
+    std::string tile;
+    if (st.tileRowTile > 0)
+        tile = ", tile " + std::to_string(st.tileRowTile) + "x" +
+               std::to_string(st.tileKBlock);
     std::printf("backend %-12s: median %.1f ms, %.2f inferences/s "
-                "(%d threads, simd %s, tile %lldx%lld)\n",
-                be->name().c_str(), median,
-                1e3 * batch / median,
-                eo.threads > 0 ? eo.threads
-                               : support::defaultThreadCount(),
-                simd, static_cast<long long>(tiles.rowTile),
-                static_cast<long long>(tiles.kBlock));
-    if (be->poolHighWaterBytes() > 0) {
+                "(%d thread%s, simd %s%s)\n",
+                be->name().c_str(), median, 1e3 * batch / median,
+                st.threads, st.threads == 1 ? "" : "s",
+                exec::simdLevelName(st.simdLevel), tile.c_str());
+    if (st.poolHighWaterBytes > 0) {
         std::printf("  pool high-water %s\n",
                     formatBytes(static_cast<std::uint64_t>(
-                        be->poolHighWaterBytes())).c_str());
+                        st.poolHighWaterBytes)).c_str());
     }
-    if (be->fusedAttentionKernels() > 0) {
+    if (st.fusedAttentionKernels > 0) {
         std::printf("  fused attention: %d streaming kernels, %s score "
                     "matrix avoided\n",
-                    be->fusedAttentionKernels(),
+                    st.fusedAttentionKernels,
                     formatBytes(static_cast<std::uint64_t>(
-                        be->scoreBytesAvoided())).c_str());
+                        st.scoreBytesAvoided)).c_str());
     }
     std::printf("  outputs %zu, checksum %.6g\n", outputs.size(),
                 checksum);
