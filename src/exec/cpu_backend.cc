@@ -6,6 +6,7 @@
 
 #include "exec/executor.h"
 #include "exec/kernels_blocked.h"
+#include "exec/strided_copy.h"
 #include "index/index_map.h"
 #include "runtime/memory_pool.h"
 #include "support/error.h"
@@ -40,57 +41,6 @@ inline std::int64_t
 dimContribution(std::int64_t c, std::int64_t stride, bool packed)
 {
     return packed ? (c / 4) * stride + c % 4 : c * stride;
-}
-
-/**
- * Copy `shape` elements between two physical layouts, walking logical
- * coordinates row-major with incrementally maintained offsets (no
- * per-element coordinate vectors or physicalOffset() calls).
- * Parallel over contiguous logical-index ranges: each chunk seeds its
- * offsets from a single delinearize, then walks the same odometer, so
- * every element is written by exactly one worker and the output is
- * byte-identical at any thread count (it is a pure copy).
- */
-void
-relayoutCopy(const Shape &shape, const float *src, const Layout &srcL,
-             float *dst, const Layout &dstL, const ParallelRunner &par)
-{
-    const std::int64_t total = shape.numElements();
-    if (isRowMajorLayout(srcL) && isRowMajorLayout(dstL)) {
-        std::memcpy(dst, src,
-                    static_cast<std::size_t>(total) * sizeof(float));
-        return;
-    }
-    const int rank = shape.rank();
-    const auto sstr = srcL.strides(shape);
-    const auto dstr = dstL.strides(shape);
-    const int spack = srcL.packedDim();
-    const int dpack = dstL.packedDim();
-    par.run(total, 4096, [&](std::int64_t i0, std::int64_t i1) {
-        std::vector<std::int64_t> coord = ir::delinearize(i0, shape);
-        std::int64_t soff = 0, doff = 0;
-        for (int d = 0; d < rank; ++d) {
-            const auto di = static_cast<std::size_t>(d);
-            soff += dimContribution(coord[di], sstr[di], d == spack);
-            doff += dimContribution(coord[di], dstr[di], d == dpack);
-        }
-        for (std::int64_t i = i0; i < i1; ++i) {
-            dst[doff] = src[soff];
-            for (int d = rank - 1; d >= 0; --d) {
-                const auto di = static_cast<std::size_t>(d);
-                const std::int64_t c = coord[di];
-                soff -= dimContribution(c, sstr[di], d == spack);
-                doff -= dimContribution(c, dstr[di], d == dpack);
-                if (c + 1 < shape.dim(d)) {
-                    coord[di] = c + 1;
-                    soff += dimContribution(c + 1, sstr[di], d == spack);
-                    doff += dimContribution(c + 1, dstr[di], d == dpack);
-                    break;
-                }
-                coord[di] = 0; // contribution of coordinate 0 is 0
-            }
-        }
-    });
 }
 
 /**
@@ -151,49 +101,6 @@ batchOffsets(const NativeView &vw, const Shape &s, int nBatchDims,
         }
     }
     return off;
-}
-
-/**
- * dst[i] = src[phys(map(coord(i)))]: reproduce an eliminated
- * transformation chain by reading the stored source (in its physical
- * layout) through the composed IndexMap.  Parallel over output
- * ranges; every element is independent.
- */
-void
-materializeMapped(const index::IndexMap &map, const float *src,
-                  const Layout &srcL, const Shape &srcShape, float *dst,
-                  const ParallelRunner &par)
-{
-    const Shape &os = map.outputShape();
-    const auto sstr = srcL.strides(srcShape);
-    const int spack = srcL.packedDim();
-    // Flatten the composed expressions once; the per-element loop
-    // then runs postfix programs instead of recursing shared_ptr
-    // trees (a 2-4x win on gather/reshape-heavy chains).
-    const index::CompiledExprs exprs =
-        index::CompiledExprs::compile(map.exprs());
-    const int in_rank = srcShape.rank();
-    const int out_rank = os.rank();
-    par.run(os.numElements(), 1024,
-            [&](std::int64_t i0, std::int64_t i1) {
-        std::vector<std::int64_t> coord = ir::delinearize(i0, os);
-        std::vector<std::int64_t> stack(exprs.stackDepth());
-        for (std::int64_t i = i0; i < i1; ++i) {
-            std::int64_t off = 0;
-            for (int d = 0; d < in_rank; ++d) {
-                const std::int64_t c = exprs.eval(d, coord, stack);
-                off += dimContribution(
-                    c, sstr[static_cast<std::size_t>(d)], d == spack);
-            }
-            dst[i] = src[off];
-            for (int d = out_rank - 1; d >= 0; --d) {
-                const auto di = static_cast<std::size_t>(d);
-                if (++coord[di] < os.dim(d))
-                    break;
-                coord[di] = 0;
-            }
-        }
-    });
 }
 
 bool
@@ -440,8 +347,9 @@ PlanRunner::resolveLocal(const Kernel &k, ValueId v)
                 src_layout = s.layout;
             }
             float *dst = alloc(shapeOf(v).numElements());
-            materializeMapped(*in.readMap, src_data, src_layout,
-                              shapeOf(in.source), dst, par_);
+            if (!materializeMapped(*in.readMap, src_data, src_layout,
+                                   shapeOf(in.source), dst, par_))
+                ++stats_.gathersInterpreted;
             ++stats_.substitutesMaterialized;
             locals_[v] = {dst, true};
             return dst;
@@ -883,6 +791,29 @@ PlanRunner::evalNodeBlocked(const Kernel &k, const Node &node)
         locals_[node.output] = {out, true};
         return;
       }
+      case OpKind::MaxPool2d:
+      case OpKind::AvgPool2d: {
+        const Shape &xs = shapeOf(node.inputs[0]);
+        const float *x = resolveLocal(k, node.inputs[0]);
+        const std::int64_t kernel = node.attrs.getInt("kernel");
+        float *out = alloc(os.numElements());
+        blockedPool2d(node.kind == OpKind::MaxPool2d, x, out,
+                      xs.dim(0) * xs.dim(1), xs.dim(2), xs.dim(3),
+                      os.dim(2), os.dim(3), kernel,
+                      node.attrs.getInt("stride", kernel),
+                      node.attrs.getInt("pad", 0), par_);
+        locals_[node.output] = {out, true};
+        return;
+      }
+      case OpKind::GlobalAvgPool: {
+        const Shape &xs = shapeOf(node.inputs[0]);
+        const float *x = resolveLocal(k, node.inputs[0]);
+        float *out = alloc(os.numElements());
+        blockedGlobalAvgPool(x, out, xs.dim(0) * xs.dim(1),
+                             xs.dim(2) * xs.dim(3), par_);
+        locals_[node.output] = {out, true};
+        return;
+      }
       case OpKind::Reshape:
       case OpKind::Transpose:
       case OpKind::DepthToSpace:
@@ -896,8 +827,9 @@ PlanRunner::evalNodeBlocked(const Kernel &k, const Node &node)
         index::IndexMap map =
             index::IndexMap::fromNode(graph_, node).simplified();
         float *out = alloc(os.numElements());
-        materializeMapped(map, x, Layout::rowMajor(xs.rank()), xs, out,
-                          par_);
+        if (!materializeMapped(map, x, Layout::rowMajor(xs.rank()), xs,
+                               out, par_))
+            ++stats_.gathersInterpreted;
         locals_[node.output] = {out, true};
         return;
       }
@@ -1097,14 +1029,8 @@ PlanRunner::run(CpuBackendStats *stats_out)
         StoredBuf s = resolveStored(id, 0);
         const Shape &shape = shapeOf(id);
         Tensor t(shape);
-        if (isRowMajorLayout(s.layout)) {
-            std::memcpy(t.data(), s.data,
-                        static_cast<std::size_t>(shape.numElements()) *
-                            sizeof(float));
-        } else {
-            relayoutCopy(shape, s.data, s.layout, t.data(),
-                         Layout::rowMajor(shape.rank()), par_);
-        }
+        relayoutCopy(shape, s.data, s.layout, t.data(),
+                     Layout::rowMajor(shape.rank()), par_);
         out.push_back(std::move(t));
     }
 

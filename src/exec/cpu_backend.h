@@ -15,7 +15,8 @@
  *  - operators eliminated by Layout Transformation Elimination are
  *    never executed: the consuming kernel reads through the composed
  *    IndexMap (one materialization per surviving chain, instead of
- *    one copy per eliminated operator);
+ *    one copy per eliminated operator), lowered to a strided loop
+ *    nest (strided_copy.h) so no per-element index math runs;
  *  - compute runs on cache-blocked/tiled kernels (kernels_blocked.h)
  *    with fused element-wise epilogues, parallelized over batch /
  *    output tiles on a fixed support::ThreadPool.
@@ -82,6 +83,11 @@ struct CpuBackendStats
 
     /** Eliminated-chain reads reproduced via composed IndexMaps. */
     int substitutesMaterialized = 0;
+
+    /** Map materializations (eliminated-chain reads and surviving
+     *  Reshape/Transpose/... nodes) whose map did not lower to a
+     *  strided loop nest and ran the per-element interpreter. */
+    int gathersInterpreted = 0;
 
     /** Bytes moved by layout packing/unpacking and relayout copies --
      *  the transformation work the plan did NOT eliminate. */

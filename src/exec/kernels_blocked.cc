@@ -1246,4 +1246,61 @@ blockedBatchNorm(const float *x, const float *scale,
     });
 }
 
+void
+blockedPool2d(bool isMax, const float *x, float *out, std::int64_t nc,
+              std::int64_t h, std::int64_t w, std::int64_t oh,
+              std::int64_t ow, std::int64_t kernel, std::int64_t stride,
+              std::int64_t pad, const ParallelRunner &par)
+{
+    // The window walk, bounds skips and accumulation order are
+    // evalPool's, so results are byte-identical to the reference.
+    par.run(nc, 1, [&](std::int64_t p0, std::int64_t p1) {
+        for (std::int64_t p = p0; p < p1; ++p) {
+            const float *xp = x + p * h * w;
+            float *op = out + p * oh * ow;
+            for (std::int64_t y = 0; y < oh; ++y) {
+                for (std::int64_t xo = 0; xo < ow; ++xo) {
+                    float acc = isMax ? -1e30f : 0.0f;
+                    std::int64_t cnt = 0;
+                    for (std::int64_t dy = 0; dy < kernel; ++dy) {
+                        const std::int64_t iy = y * stride + dy - pad;
+                        if (iy < 0 || iy >= h)
+                            continue;
+                        for (std::int64_t dx = 0; dx < kernel; ++dx) {
+                            const std::int64_t ix = xo * stride + dx - pad;
+                            if (ix < 0 || ix >= w)
+                                continue;
+                            const float v = xp[iy * w + ix];
+                            if (isMax)
+                                acc = std::max(acc, v);
+                            else
+                                acc += v;
+                            ++cnt;
+                        }
+                    }
+                    op[y * ow + xo] =
+                        isMax ? acc
+                              : acc / static_cast<float>(
+                                          std::max<std::int64_t>(cnt, 1));
+                }
+            }
+        }
+    });
+}
+
+void
+blockedGlobalAvgPool(const float *x, float *out, std::int64_t nc,
+                     std::int64_t hw, const ParallelRunner &par)
+{
+    par.run(nc, 1, [&](std::int64_t p0, std::int64_t p1) {
+        for (std::int64_t p = p0; p < p1; ++p) {
+            const float *xp = x + p * hw;
+            float acc = 0;
+            for (std::int64_t i = 0; i < hw; ++i)
+                acc += xp[i];
+            out[p] = acc / static_cast<float>(hw);
+        }
+    });
+}
+
 } // namespace smartmem::exec

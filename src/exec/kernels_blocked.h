@@ -3,13 +3,13 @@
  * Cache-blocked, thread-pooled CPU kernels for the cpu-blocked
  * execution backend, with runtime-dispatched SIMD inner loops.
  *
- * The element-wise and normalization kernels operate on raw row-major
- * float arrays.  The GEMM and convolution kernels additionally accept
- * strided *views* (MatView / PlaneLayout) so the backend can hand them
- * tensors in the plan's packed (vec4) or texture-order physical
- * layouts directly -- the stride arithmetic that used to live only in
- * relayoutCopy runs in the micro-kernel load/store paths instead of
- * forcing a repack at the kernel boundary.
+ * The element-wise, normalization and pooling kernels operate on raw
+ * row-major float arrays.  The GEMM and convolution kernels
+ * additionally accept strided *views* (MatView / PlaneLayout) so the
+ * backend can hand them tensors in the plan's packed (vec4) or
+ * texture-order physical layouts directly: the stride arithmetic runs
+ * in the micro-kernel load/store paths instead of a pack/unpack copy
+ * (exec::relayoutCopy, strided_copy.h) at the kernel boundary.
  *
  * Inner loops dispatch over exec::SimdLevel (AVX2 / AVX-512 / NEON
  * micro-kernels behind runtime CPU detection, see simd_dispatch.h);
@@ -297,6 +297,24 @@ void blockedBatchNorm(const float *x, const float *scale,
                       std::int64_t biasLen, float *out, std::int64_t n,
                       std::int64_t c, std::int64_t hw,
                       const ParallelRunner &par);
+
+/**
+ * MaxPool2d (isMax) or AvgPool2d over row-major [N, C, H, W] planes
+ * into [N, C, OH, OW], parallel over the nc = N * C planes.  Windows
+ * are walked and accumulated in exec::evalPool's order (padding
+ * skipped; average over the in-bounds count), so output bytes match
+ * the reference executor's.
+ */
+void blockedPool2d(bool isMax, const float *x, float *out,
+                   std::int64_t nc, std::int64_t h, std::int64_t w,
+                   std::int64_t oh, std::int64_t ow, std::int64_t kernel,
+                   std::int64_t stride, std::int64_t pad,
+                   const ParallelRunner &par);
+
+/** GlobalAvgPool: out[p] = (row-order sum of plane p) / hw, parallel
+ *  over the nc planes (evalPool's order). */
+void blockedGlobalAvgPool(const float *x, float *out, std::int64_t nc,
+                          std::int64_t hw, const ParallelRunner &par);
 
 } // namespace smartmem::exec
 

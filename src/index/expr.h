@@ -125,9 +125,11 @@ bool exprEquals(const Expr &a, const Expr &b);
 
 /**
  * Flattened postfix form of an expression list, for tight repeated
- * evaluation.  The CPU execution backend evaluates composed read-map
- * expressions once per tensor element; recursing through the
- * shared_ptr tree (evalExpr) costs more than the arithmetic itself.
+ * evaluation.  The CPU execution backend lowers composed read maps to
+ * strided loop nests (index/loop_nest.h, exec/strided_copy.h); this
+ * is its per-element fallback for the maps that do not lower (Lookup,
+ * divisor chains that do not nest), where recursing through the
+ * shared_ptr tree (evalExpr) would cost more than the arithmetic.
  * Compilation walks each tree once into a postfix instruction vector;
  * eval() then runs on a caller-provided value stack with no
  * allocation, no recursion, and no pointer chasing beyond lookup

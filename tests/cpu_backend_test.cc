@@ -221,6 +221,59 @@ TEST(CpuBackendStats, Stage3MaterializesFewerPassesThanStage0)
     EXPECT_LT(s3.kernelsExecuted, s0.kernelsExecuted);
 }
 
+/** Stats of one stage-3 cpu-blocked run of `g` at `threads`. */
+exec::CpuBackendStats
+stage3Stats(const ir::Graph &g, int threads)
+{
+    auto plan = core::compileStage(g, device::adreno740(), 3);
+    exec::Executor ex(kSeed);
+    auto inputs = exec::makeSeededInputs(plan.graph, ex);
+    exec::CpuBackendOptions o;
+    o.threads = threads;
+    o.seed = kSeed;
+    exec::CpuBackendStats stats;
+    exec::CpuBackend(o).run(plan, inputs, &stats);
+    return stats;
+}
+
+TEST(CpuBackendStats, FullSizeSwinGathersNeverInterpret)
+{
+    // Every composed read map of full-size Swin (window partition and
+    // merge, QKV head split, patch merge) lowers to a strided loop
+    // nest.
+    const auto stats = stage3Stats(models::buildModel("Swin", 1), 4);
+    EXPECT_GT(stats.substitutesMaterialized, 0);
+    EXPECT_EQ(stats.gathersInterpreted, 0);
+}
+
+TEST(CpuBackendStats, ZooTransformersGatherWithoutInterpreter)
+{
+    for (const std::string &name : models::evaluationModels()) {
+        if (models::modelInfo(name).attention == "N/A")
+            continue;
+        const auto stats = stage3Stats(models::buildTinyVariant(name, 1), 1);
+        EXPECT_GT(stats.substitutesMaterialized, 0) << name;
+        EXPECT_EQ(stats.gathersInterpreted, 0) << name;
+    }
+}
+
+TEST(CpuBackendStats, LookupGathersAreCountedAsInterpreted)
+{
+    // The coverage graph's constant-index Gather is a Lookup map: it
+    // runs on the per-element interpreter, at every stage.
+    for (int stage : {0, 3}) {
+        auto plan = core::compileStage(opCoverageGraph(1),
+                                       device::adreno740(), stage);
+        exec::Executor ex(kSeed);
+        auto inputs = exec::makeSeededInputs(plan.graph, ex);
+        exec::CpuBackendStats stats;
+        exec::CpuBackendOptions o;
+        o.seed = kSeed;
+        exec::CpuBackend(o).run(plan, inputs, &stats);
+        EXPECT_GE(stats.gathersInterpreted, 1) << "stage " << stage;
+    }
+}
+
 TEST(PlanExecutorRegistry, NamesAndConstruction)
 {
     const auto &names = runtime::executorNames();

@@ -7,6 +7,7 @@
 
 #include "index/expr.h"
 #include "index/index_map.h"
+#include "index/loop_nest.h"
 #include "ir/graph.h"
 #include <functional>
 
@@ -329,6 +330,120 @@ TEST(IndexMap, IdentityDetection)
     IndexMap m = IndexMap::identity(Shape({3, 4}));
     EXPECT_TRUE(m.isIdentity());
     EXPECT_EQ(m.divModCount(), 0);
+}
+
+
+// ---------------------------------------------------------------
+// LoopNest: lowering composed maps to mixed-radix digit loops.
+// ---------------------------------------------------------------
+
+/** Walk `nest` in loop order and check, point by point, that it
+ *  visits the map's output in row-major order with apply()'s input
+ *  coordinates. */
+void
+expectNestMatchesApply(const LoopNest &nest, const IndexMap &m)
+{
+    const std::int64_t total = m.outputShape().numElements();
+    std::vector<std::int64_t> idx(nest.loops.size(), 0);
+    for (std::int64_t i = 0; i < total; ++i) {
+        std::vector<std::int64_t> in = nest.base;
+        for (std::size_t l = 0; l < nest.loops.size(); ++l)
+            for (std::size_t d = 0; d < in.size(); ++d)
+                in[d] += nest.loops[l].coef[d] * idx[l];
+        ASSERT_EQ(in, m.apply(ir::delinearize(i, m.outputShape())))
+            << m.toString() << " at " << i;
+        for (std::size_t l = nest.loops.size(); l-- > 0;) {
+            if (++idx[l] < nest.loops[l].extent)
+                break;
+            idx[l] = 0;
+        }
+    }
+}
+
+TEST(LoopNest, SwinWindowSplitsIntoMixedRadixDigits)
+{
+    // v1 in [0, 3136) with divisors 7, 56, 392: digits (8, 7, 8, 7).
+    IndexMap m = IndexMap::parse(
+        "[1, 3136, 96] -> [64, 49, 96] : [((((v0*8) + (v1 / 392))*8) + "
+        "((v1 / 7) % 8)), ((((v1 / 56) % 7)*7) + (v1 % 7)), v2]");
+    auto nest = lowerToLoopNest(m);
+    ASSERT_TRUE(nest.has_value());
+    std::vector<std::int64_t> extents;
+    for (const auto &l : nest->loops)
+        extents.push_back(l.extent);
+    EXPECT_EQ(extents, (std::vector<std::int64_t>{8, 7, 8, 7, 96}));
+    expectNestMatchesApply(*nest, m);
+}
+
+TEST(LoopNest, PlanShapedMapsLowerExactly)
+{
+    // QKV head split, head merge, patch merge and window reverse as
+    // they appear in Swin's stage-3 plan.
+    for (const char *text :
+         {"[192, 49, 32] -> [64, 49, 288] : [(v0 / 3), v1, "
+          "(((3 + (v0 % 3))*32) + v2)]",
+          "[64, 49, 96] -> [192, 49, 32] : [((v0*3) + (v2 / 32)), v1, "
+          "(v2 % 32)]",
+          "[1, 784, 384] -> [1, 3136, 96] : [0, ((((((((v0*28) + "
+          "(v1 / 28))*2) + (v2 / 192))*28) + (v1 % 28))*2) + "
+          "((v2 / 96) % 2)), (v2 % 96)]",
+          "[64, 49, 96] -> [1, 3136, 96] : [0, (((((((v0 / 8)*7) + "
+          "(v1 / 7))*8) + (v0 % 8))*7) + (v1 % 7)), v2]"}) {
+        IndexMap m = IndexMap::parse(text);
+        auto nest = lowerToLoopNest(m);
+        ASSERT_TRUE(nest.has_value()) << text;
+        expectNestMatchesApply(*nest, m);
+    }
+}
+
+TEST(LoopNest, ComposedReshapeTransposeChainsLower)
+{
+    // Reshape -> transpose -> reshape, composed and simplified the way
+    // the planner builds read maps.
+    GraphBuilder b;
+    auto x = b.input("x", Shape({1, 8, 8, 6}));
+    auto r = b.reshape(x, {1, 2, 4, 2, 4, 6});
+    auto t = b.transpose(r, {0, 1, 3, 2, 4, 5});
+    auto y = b.reshape(t, {4, 16, 6});
+    b.markOutput(y);
+    auto g = b.finish();
+    auto mapOf = [&](ir::ValueId v) {
+        return IndexMap::fromNode(g, g.node(g.value(v).producer));
+    };
+    IndexMap m = mapOf(y).composedWith(mapOf(t)).composedWith(mapOf(r));
+    for (const IndexMap &variant : {m, m.simplified()}) {
+        auto nest = lowerToLoopNest(variant);
+        ASSERT_TRUE(nest.has_value()) << variant.toString();
+        expectNestMatchesApply(*nest, variant);
+    }
+}
+
+TEST(LoopNest, RejectsLookupAndNonNestingDivisors)
+{
+    EXPECT_FALSE(lowerToLoopNest(IndexMap::parse(
+                     "[4] -> [8] : [lookup{3,1,2,0}[v0]]"))
+                     .has_value());
+    EXPECT_FALSE(lowerToLoopNest(IndexMap::parse(
+                     "[12] -> [2, 4] : [(v0 / 6), (v0 % 4)]"))
+                     .has_value());
+    EXPECT_FALSE(lowerToLoopNest(IndexMap::parse(
+                     "[12] -> [4, 2] : [(v0 % 4), (v0 / 6)]"))
+                     .has_value());
+    // (v + 2) % 4 wraps inside a digit: not affine in any split.
+    EXPECT_FALSE(lowerToLoopNest(IndexMap::parse(
+                     "[8] -> [4] : [((v0 + 2) % 4)]"))
+                     .has_value());
+}
+
+TEST(LoopNest, IdentityIsOneLoopPerNonUnitDim)
+{
+    IndexMap m = IndexMap::identity(Shape({3, 1, 5}));
+    auto nest = lowerToLoopNest(m);
+    ASSERT_TRUE(nest.has_value());
+    ASSERT_EQ(nest->loops.size(), 2u);
+    EXPECT_EQ(nest->loops[0].extent, 3);
+    EXPECT_EQ(nest->loops[1].extent, 5);
+    expectNestMatchesApply(*nest, m);
 }
 
 } // namespace

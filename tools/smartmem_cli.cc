@@ -616,6 +616,14 @@ cmdRun(int argc, char **argv)
                     formatBytes(static_cast<std::uint64_t>(
                         st.poolHighWaterBytes)).c_str());
     }
+    if (st.kernelsExecuted > 0) {
+        std::printf("  gathers %d (%d interpreted), %d relayout kernels, "
+                    "%s relayouted\n",
+                    st.substitutesMaterialized, st.gathersInterpreted,
+                    st.relayoutKernels,
+                    formatBytes(static_cast<std::uint64_t>(
+                        st.bytesRelayouted)).c_str());
+    }
     if (st.fusedAttentionKernels > 0) {
         std::printf("  fused attention: %d streaming kernels, %s score "
                     "matrix avoided\n",
