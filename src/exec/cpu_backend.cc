@@ -103,72 +103,6 @@ batchOffsets(const NativeView &vw, const Shape &s, int nBatchDims,
     return off;
 }
 
-bool
-isUnaryKind(OpKind k)
-{
-    switch (k) {
-      case OpKind::Relu:
-      case OpKind::Gelu:
-      case OpKind::Silu:
-      case OpKind::Sigmoid:
-      case OpKind::Tanh:
-      case OpKind::Exp:
-      case OpKind::Sqrt:
-      case OpKind::Neg:
-      case OpKind::Identity:
-      case OpKind::Scale:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-isBinaryKind(OpKind k)
-{
-    return k == OpKind::Add || k == OpKind::Sub || k == OpKind::Mul ||
-           k == OpKind::Div;
-}
-
-/**
- * If `other` (shape obs) broadcast against `os` reduces to
- * "other[i % m]" for row-major linear index i -- covering same-shape
- * (m = n), scalars (m = 1) and trailing-suffix operands such as bias
- * rows -- return m; otherwise -1.
- */
-std::int64_t
-suffixBroadcastModulo(const Shape &os, const Shape &obs)
-{
-    if (obs.rank() > os.rank())
-        return -1;
-    std::int64_t m = 1;
-    int d = os.rank() - 1;
-    int od = obs.rank() - 1;
-    for (; od >= 0; --od, --d) {
-        if (obs.dim(od) == 1 && os.dim(d) != 1)
-            break; // rest must broadcast
-        if (obs.dim(od) != os.dim(d))
-            return -1;
-        m *= obs.dim(od);
-    }
-    for (; od >= 0; --od) {
-        if (obs.dim(od) != 1)
-            return -1;
-    }
-    return m;
-}
-
-/** One folded element-wise op in a fused epilogue pass. */
-struct EpilogueStep
-{
-    OpKind kind = OpKind::Identity;
-    const Node *node = nullptr;   // for attribute-dependent unaries
-    const float *other = nullptr; // binary right/left operand
-    std::int64_t otherModulo = 1; // other[i % otherModulo]
-    bool reversed = false;        // v = other op v (v was operand 1)
-    bool selfOperand = false;     // v = v op v
-};
-
 /** A value materialized while executing one kernel.  Usually a
  *  row-major scratch view; a kernel whose anchor op stored its result
  *  directly in the kernel's chosen output layout sets inOutLayout so
@@ -248,8 +182,25 @@ class PlanRunner
     void runRelayoutKernel(const Kernel &k);
     void runComputeKernel(const Kernel &k);
     void evalNodeBlocked(const Kernel &k, const Node &node);
+
+    /** Append the steps of element-wise `node` as a chain head and
+     *  return the output-shaped buffer the chain reads. */
+    const float *chainHead(const Kernel &k, const Node &node,
+                           std::vector<EltwiseStep> *steps);
+
+    /** The step of binary `node` reading operand `other`, expanded
+     *  first when it spans two or more runs of output dims. */
+    EltwiseStep operandStep(const Kernel &k, const Node &node,
+                            ValueId other, bool reversed);
+
+    /** `v` broadcast to `shape` by one strided copy (released after
+     *  the chain runs). */
+    const float *expand(const Kernel &k, ValueId v, const Shape &shape);
+
+    /** Append `next` to the chain ending in `cur` if it can run in the
+     *  same pass. */
     bool tryFoldEpilogue(const Kernel &k, ValueId cur, const Node &next,
-                         EpilogueStep *step);
+                         std::vector<EltwiseStep> *steps);
     void publishOutput(const Kernel &k);
     void releaseDead(std::size_t kernel_idx);
 
@@ -274,6 +225,7 @@ class PlanRunner
     // Per-kernel state.
     std::map<ValueId, LocalBuf> locals_;
     std::map<ValueId, const KernelInput *> kinBySubstitute_;
+    std::vector<float *> expanded_; // broadcast operands of one chain
 };
 
 const float *
@@ -427,9 +379,57 @@ PlanRunner::runRelayoutKernel(const Kernel &k)
     env_[{k.output, k.copyIndex}] = {dst, true, k.outLayout};
 }
 
+const float *
+PlanRunner::chainHead(const Kernel &k, const Node &node,
+                      std::vector<EltwiseStep> *steps)
+{
+    const ValueId a = node.inputs[0];
+    if (ir::isUnaryElementwise(node.kind)) {
+        steps->push_back(unaryStep(node));
+        return resolveLocal(k, a);
+    }
+    // Read an operand that has the output's shape; apply the other one
+    // as the step.
+    const ValueId b = node.inputs[1];
+    const Shape &os = shapeOf(node.output);
+    const bool aFull = shapeOf(a).numElements() == os.numElements();
+    if (a == b) {
+        steps->push_back(EltwiseStep{node.kind});
+    } else if (!aFull && shapeOf(b).numElements() == os.numElements()) {
+        steps->push_back(operandStep(k, node, a, /*reversed=*/true));
+        return resolveLocal(k, b);
+    } else {
+        steps->push_back(operandStep(k, node, b, /*reversed=*/false));
+    }
+    return aFull ? resolveLocal(k, a) : expand(k, a, os);
+}
+
+EltwiseStep
+PlanRunner::operandStep(const Kernel &k, const Node &node, ValueId other,
+                        bool reversed)
+{
+    const Shape &os = shapeOf(node.output);
+    if (auto step = binaryStep(node.kind, resolveLocal(k, other),
+                               shapeOf(other), os, reversed))
+        return *step;
+    return *binaryStep(node.kind, expand(k, other, os), os, os, reversed);
+}
+
+const float *
+PlanRunner::expand(const Kernel &k, ValueId v, const Shape &shape)
+{
+    float *full = alloc(shape.numElements());
+    runStridedCopy(planBroadcast(shapeOf(v), shape), resolveLocal(k, v),
+                   full, par_);
+    expanded_.push_back(full);
+    ++stats_.broadcastExpansions;
+    return full;
+}
+
 bool
 PlanRunner::tryFoldEpilogue(const Kernel &k, ValueId cur,
-                            const Node &next, EpilogueStep *step)
+                            const Node &next,
+                            std::vector<EltwiseStep> *steps)
 {
     // The folded value must die here: consumed only by `next`, not a
     // graph output, and not the source of any read-map input.
@@ -444,37 +444,19 @@ PlanRunner::tryFoldEpilogue(const Kernel &k, ValueId cur,
     if (shapeOf(next.output) != shapeOf(cur))
         return false;
 
-    if (isUnaryKind(next.kind)) {
-        if (next.inputs[0] != cur)
-            return false;
-        *step = EpilogueStep{};
-        step->kind = next.kind;
-        step->node = &next;
+    if (ir::isUnaryElementwise(next.kind)) {
+        steps->push_back(unaryStep(next));
         return true;
     }
-    if (!isBinaryKind(next.kind))
+    if (!ir::isBinaryElementwise(next.kind))
         return false;
     const bool lhs = next.inputs[0] == cur;
     const bool rhs = next.inputs[1] == cur;
-    if (!lhs && !rhs)
-        return false;
-    *step = EpilogueStep{};
-    step->kind = next.kind;
-    step->node = &next;
-    if (lhs && rhs) {
-        step->selfOperand = true;
-        return true;
-    }
-    const ValueId other = lhs ? next.inputs[1] : next.inputs[0];
-    const std::int64_t mod =
-        suffixBroadcastModulo(shapeOf(cur), shapeOf(other));
-    if (mod < 0)
-        return false;
-    // Resolving may materialize a substitute; that work is needed by
-    // the op regardless of how it executes.
-    step->other = resolveLocal(k, other);
-    step->otherModulo = mod;
-    step->reversed = rhs;
+    if (lhs && rhs)
+        steps->push_back(EltwiseStep{next.kind});
+    else
+        steps->push_back(operandStep(
+            k, next, lhs ? next.inputs[1] : next.inputs[0], rhs));
     return true;
 }
 
@@ -541,19 +523,8 @@ PlanRunner::evalNodeBlocked(const Kernel &k, const Node &node)
             blockedDepthwiseConv2d(x, xl, w, out, ol, xs.dim(0),
                                    xs.dim(1), xs.dim(2), xs.dim(3),
                                    os.dim(2), os.dim(3), ws.dim(2),
-                                   ws.dim(3), stride, pad, par_);
-            if (bias) {
-                for (std::int64_t n = 0; n < os.dim(0); ++n) {
-                    for (std::int64_t c = 0; c < os.dim(1); ++c) {
-                        const float bv = bias[c % biasLen];
-                        float *p = out + ol.planeOff(n, c);
-                        for (std::int64_t y = 0; y < os.dim(2); ++y)
-                            for (std::int64_t xo = 0; xo < os.dim(3);
-                                 ++xo)
-                                p[y * ol.sh + xo * ol.sw] += bv;
-                    }
-                }
-            }
+                                   ws.dim(3), stride, pad, bias, biasLen,
+                                   par_);
         } else {
             const std::int64_t groups = node.attrs.getInt("groups", 1);
             blockedConv2d(x, xl, w, out, ol, xs.dim(0), xs.dim(1),
@@ -742,52 +713,19 @@ PlanRunner::evalNodeBlocked(const Kernel &k, const Node &node)
                           {kd, dk, 1, m * dk, nullptr},
                           {score, m, 1, n * m, nullptr}, batch, n, m,
                           dk, /*transB=*/true, simd_, tiles_, par_);
-            const std::int64_t nm = n * m;
-            par_.run(batch * nm, 4096,
-                     [&](std::int64_t e0, std::int64_t e1) {
-                         for (std::int64_t e = e0; e < e1; ++e) {
-                             float s = score[e] * scale;
-                             if (bias != nullptr)
-                                 s += bias[bias_batched ? e : e % nm];
-                             score[e] = s;
-                         }
-                     });
+            std::vector<EltwiseStep> scaleBias{
+                EltwiseStep{OpKind::Scale, scale}};
+            if (bias != nullptr) // bias[e % (n * m)], or per batch
+                scaleBias.push_back({OpKind::Add, 1.0f, bias, 1,
+                                     (bias_batched ? batch : 1) * n * m});
+            runEltwiseChain(score, score, batch * n * m, scaleBias, par_);
             blockedSoftmax(score, score, Shape({batch, n, m}), 2, par_);
-            blockedMatMul({score, m, 1, nm, nullptr},
+            blockedMatMul({score, m, 1, n * m, nullptr},
                           {v, dv, 1, m * dv, nullptr},
                           {out, dv, 1, n * dv, nullptr}, batch, n, dv,
                           m, /*transB=*/false, simd_, tiles_, par_);
             pool_.release(score);
         }
-        locals_[node.output] = {out, true};
-        return;
-      }
-      case OpKind::Relu:
-      case OpKind::Gelu:
-      case OpKind::Silu:
-      case OpKind::Sigmoid:
-      case OpKind::Tanh:
-      case OpKind::Exp:
-      case OpKind::Sqrt:
-      case OpKind::Neg:
-      case OpKind::Identity:
-      case OpKind::Scale: {
-        const float *x = resolveLocal(k, node.inputs[0]);
-        float *out = alloc(os.numElements());
-        blockedUnary(node.kind, node, x, out, os.numElements(), par_);
-        locals_[node.output] = {out, true};
-        return;
-      }
-      case OpKind::Add:
-      case OpKind::Sub:
-      case OpKind::Mul:
-      case OpKind::Div: {
-        const float *a = resolveLocal(k, node.inputs[0]);
-        const float *b = resolveLocal(k, node.inputs[1]);
-        float *out = alloc(os.numElements());
-        blockedBinary(node.kind, a, b, out, os,
-                      shapeOf(node.inputs[0]), shapeOf(node.inputs[1]),
-                      par_);
         locals_[node.output] = {out, true};
         return;
       }
@@ -899,51 +837,45 @@ PlanRunner::runComputeKernel(const Kernel &k)
 
     std::size_t i = 0;
     while (i < k.fusedNodes.size()) {
+        // An element-wise node heads a chain that reads its input out
+        // of place; any other node runs its kernel and the chain after
+        // it runs in place over its output.  Either way the following
+        // element-wise nodes fold into the same pass.
         const Node &node = graph_.node(k.fusedNodes[i]);
-        evalNodeBlocked(k, node);
+        const std::int64_t n = shapeOf(node.output).numElements();
+        std::vector<EltwiseStep> steps;
+        const float *src = nullptr;
+        LocalBuf buf{nullptr, true};
+        if (ir::isUnaryElementwise(node.kind) ||
+            ir::isBinaryElementwise(node.kind)) {
+            src = chainHead(k, node, &steps);
+            buf.data = alloc(n);
+        } else {
+            evalNodeBlocked(k, node);
+            buf = locals_[node.output];
+            src = buf.data;
+        }
+        const std::size_t headSteps = steps.size();
         ValueId cur = node.output;
-
-        // Fold the following element-wise chain into one in-place
-        // epilogue pass over the anchor's output.
-        std::vector<EpilogueStep> steps;
         std::size_t j = i + 1;
-        while (j < k.fusedNodes.size()) {
-            const Node &next = graph_.node(k.fusedNodes[j]);
-            EpilogueStep step;
-            if (!tryFoldEpilogue(k, cur, next, &step))
-                break;
-            steps.push_back(step);
-            cur = next.output;
+        while (j < k.fusedNodes.size() &&
+               tryFoldEpilogue(k, cur, graph_.node(k.fusedNodes[j]),
+                               &steps)) {
+            cur = graph_.node(k.fusedNodes[j]).output;
             ++j;
         }
         if (!steps.empty()) {
-            LocalBuf buf = locals_[node.output];
             SM_ASSERT(buf.owned, "epilogue over a borrowed buffer");
-            auto *data = const_cast<float *>(buf.data);
-            const std::int64_t n = shapeOf(node.output).numElements();
-            par_.run(n, 4096, [&](std::int64_t e0, std::int64_t e1) {
-                for (std::int64_t e = e0; e < e1; ++e) {
-                    float v = data[e];
-                    for (const EpilogueStep &s : steps) {
-                        if (s.other) {
-                            const float o = s.other[e % s.otherModulo];
-                            v = s.reversed
-                                    ? applyBinaryScalar(s.kind, o, v)
-                                    : applyBinaryScalar(s.kind, v, o);
-                        } else if (s.selfOperand) {
-                            v = applyBinaryScalar(s.kind, v, v);
-                        } else {
-                            v = applyUnaryScalar(s.kind, v, *s.node);
-                        }
-                    }
-                    data[e] = v;
-                }
-            });
+            runEltwiseChain(src, const_cast<float *>(buf.data), n, steps,
+                            par_);
             stats_.fusedEpilogueOps +=
-                static_cast<int>(steps.size());
+                static_cast<int>(steps.size() - headSteps);
             locals_.erase(node.output);
             locals_[cur] = buf;
         }
+        for (float *p : expanded_)
+            pool_.release(p);
+        expanded_.clear();
         i = j;
     }
 

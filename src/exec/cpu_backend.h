@@ -81,6 +81,10 @@ struct CpuBackendStats
      *  instead of running as their own pass. */
     int fusedEpilogueOps = 0;
 
+    /** Element-wise operands spanning two or more runs of output dims,
+     *  broadcast to the output shape by a copy first. */
+    int broadcastExpansions = 0;
+
     /** Eliminated-chain reads reproduced via composed IndexMaps. */
     int substitutesMaterialized = 0;
 

@@ -88,49 +88,6 @@ ParallelRunner::run(std::int64_t n, std::int64_t grain,
 }
 
 // -------------------------------------------------------------------
-// Scalar op bodies (formulas identical to the reference kernels so
-// parity with exec/kernels.cc is exact up to float associativity)
-// -------------------------------------------------------------------
-
-float
-applyUnaryScalar(ir::OpKind kind, float x, const ir::Node &node)
-{
-    switch (kind) {
-      case ir::OpKind::Relu:    return x > 0 ? x : 0;
-      case ir::OpKind::Gelu:
-        return 0.5f * x * (1.0f + std::tanh(0.7978845608f *
-                                            (x + 0.044715f * x * x * x)));
-      case ir::OpKind::Silu:    return x / (1.0f + std::exp(-x));
-      case ir::OpKind::Sigmoid: return 1.0f / (1.0f + std::exp(-x));
-      case ir::OpKind::Tanh:    return std::tanh(x);
-      case ir::OpKind::Exp:     return std::exp(x);
-      case ir::OpKind::Sqrt:    return std::sqrt(std::max(x, 0.0f));
-      case ir::OpKind::Neg:     return -x;
-      case ir::OpKind::Identity: return x;
-      case ir::OpKind::Scale: {
-        float s = static_cast<float>(
-            node.attrs.getInt("scale_milli", 1000)) / 1000.0f;
-        return x * s;
-      }
-      default:
-        smPanic("applyUnaryScalar on non-unary kind");
-    }
-}
-
-float
-applyBinaryScalar(ir::OpKind kind, float a, float b)
-{
-    switch (kind) {
-      case ir::OpKind::Add: return a + b;
-      case ir::OpKind::Sub: return a - b;
-      case ir::OpKind::Mul: return a * b;
-      case ir::OpKind::Div: return a / b;
-      default:
-        smPanic("applyBinaryScalar on non-binary kind");
-    }
-}
-
-// -------------------------------------------------------------------
 // Tile parameters
 // -------------------------------------------------------------------
 
@@ -998,6 +955,7 @@ blockedDepthwiseConv2d(const float *x, const PlaneLayout &xl,
                        std::int64_t h, std::int64_t wdim, std::int64_t oh,
                        std::int64_t ow, std::int64_t kh, std::int64_t kw,
                        std::int64_t stride, std::int64_t pad,
+                       const float *bias, std::int64_t biasLen,
                        const ParallelRunner &par)
 {
     par.run(n_batch * c, 1, [&](std::int64_t p0, std::int64_t p1) {
@@ -1007,6 +965,7 @@ blockedDepthwiseConv2d(const float *x, const PlaneLayout &xl,
             const float *xp = x + xl.planeOff(n, ch);
             const float *wp = w + ch * kh * kw;
             float *op = out + ol.planeOff(n, ch);
+            const float bv = bias != nullptr ? bias[ch % biasLen] : 0.0f;
             for (std::int64_t y = 0; y < oh; ++y) {
                 for (std::int64_t xo = 0; xo < ow; ++xo) {
                     float acc = 0;
@@ -1024,7 +983,9 @@ blockedDepthwiseConv2d(const float *x, const PlaneLayout &xl,
                             acc += xrow[ix * xl.sw] * wrow[dx];
                         }
                     }
-                    op[y * ol.sh + xo * ol.sw] = acc;
+                    // The bias lands after accumulation, as in evalConv.
+                    op[y * ol.sh + xo * ol.sw] =
+                        bias != nullptr ? acc + bv : acc;
                 }
             }
         }
@@ -1032,110 +993,160 @@ blockedDepthwiseConv2d(const float *x, const PlaneLayout &xl,
 }
 
 // -------------------------------------------------------------------
-// Element-wise
+// Element-wise chains (formulas identical to exec/kernels.cc)
 // -------------------------------------------------------------------
-
-void
-blockedUnary(ir::OpKind kind, const ir::Node &node, const float *x,
-             float *y, std::int64_t n, const ParallelRunner &par)
-{
-    par.run(n, 4096, [&](std::int64_t i0, std::int64_t i1) {
-        switch (kind) {
-          case ir::OpKind::Relu:
-            for (std::int64_t i = i0; i < i1; ++i)
-                y[i] = x[i] > 0 ? x[i] : 0;
-            break;
-          case ir::OpKind::Identity:
-            if (y != x)
-                std::memcpy(y + i0, x + i0,
-                            static_cast<std::size_t>(i1 - i0) *
-                                sizeof(float));
-            break;
-          default:
-            for (std::int64_t i = i0; i < i1; ++i)
-                y[i] = applyUnaryScalar(kind, x[i], node);
-        }
-    });
-}
 
 namespace {
 
-/** Row-major strides of `s` broadcast against outShape: 0 where s has
- *  extent 1 or lacks the (leading) dimension. */
-std::vector<std::int64_t>
-broadcastStrides(const ir::Shape &outShape, const ir::Shape &s)
+/** Elements per block: each step sweeps a block before the next one
+ *  starts, so the block stays in L1 for the whole chain. */
+constexpr std::int64_t kChainBlock = 1024;
+
+template <class F>
+void
+unaryBlock(const float *in, float *out, std::int64_t len, F f)
 {
-    const int orank = outShape.rank();
-    const int srank = s.rank();
-    std::vector<std::int64_t> own = s.rowMajorStrides();
-    std::vector<std::int64_t> strides(static_cast<std::size_t>(orank), 0);
-    for (int d = 0; d < srank; ++d) {
-        if (s.dim(d) != 1)
-            strides[static_cast<std::size_t>(d + orank - srank)] =
-                own[static_cast<std::size_t>(d)];
+    for (std::int64_t i = 0; i < len; ++i)
+        out[i] = f(in[i]);
+}
+
+/** out[i] = f(in[i], operand) over outputs [e0, e0 + len), one
+ *  broadcast run of the operand at a time. */
+template <class F>
+void
+operandBlock(const EltwiseStep &s, const float *in, float *out,
+             std::int64_t e0, std::int64_t len, F f)
+{
+    for (std::int64_t i = 0, run = 0; i < len; i += run) {
+        const std::int64_t e = e0 + i;
+        if (s.inner == 1) { // the operand advances with the output
+            const float *o = s.other + e % s.m;
+            run = std::min(s.m - e % s.m, len - i);
+            for (std::int64_t r = 0; r < run; ++r)
+                out[i + r] = f(in[i + r], o[r]);
+        } else { // one operand element per `inner` outputs
+            const float o = s.other[(e / s.inner) % s.m];
+            run = std::min(s.inner - e % s.inner, len - i);
+            for (std::int64_t r = 0; r < run; ++r)
+                out[i + r] = f(in[i + r], o);
+        }
     }
-    return strides;
+}
+
+template <class Op>
+void
+binaryBlock(const EltwiseStep &s, const float *in, float *out,
+            std::int64_t e0, std::int64_t len, Op op)
+{
+    if (s.other == nullptr)
+        unaryBlock(in, out, len, [op](float v) { return op(v, v); });
+    else if (s.reversed)
+        operandBlock(s, in, out, e0, len,
+                     [op](float v, float o) { return op(o, v); });
+    else
+        operandBlock(s, in, out, e0, len, op);
+}
+
+/** One step over outputs [e0, e0 + len); in may alias out. */
+void
+applyStep(const EltwiseStep &s, const float *in, float *out,
+          std::int64_t e0, std::int64_t len)
+{
+    using ir::OpKind;
+    auto each = [&](auto f) { unaryBlock(in, out, len, f); };
+    auto pair = [&](auto op) { binaryBlock(s, in, out, e0, len, op); };
+    const float scale = s.scale;
+    switch (s.kind) {
+      case OpKind::Relu:
+        return each([](float x) { return x > 0 ? x : 0; });
+      case OpKind::Gelu:
+        return each([](float x) {
+            return 0.5f * x *
+                   (1.0f + std::tanh(0.7978845608f *
+                                     (x + 0.044715f * x * x * x)));
+        });
+      case OpKind::Silu:
+        return each([](float x) { return x / (1.0f + std::exp(-x)); });
+      case OpKind::Sigmoid:
+        return each([](float x) { return 1.0f / (1.0f + std::exp(-x)); });
+      case OpKind::Tanh:
+        return each([](float x) { return std::tanh(x); });
+      case OpKind::Exp:
+        return each([](float x) { return std::exp(x); });
+      case OpKind::Sqrt:
+        return each([](float x) { return std::sqrt(std::max(x, 0.0f)); });
+      case OpKind::Neg:
+        return each([](float x) { return -x; });
+      case OpKind::Identity:
+        return each([](float x) { return x; });
+      case OpKind::Scale:
+        return each([scale](float x) { return x * scale; });
+      case OpKind::Add:
+        return pair([](float a, float b) { return a + b; });
+      case OpKind::Sub:
+        return pair([](float a, float b) { return a - b; });
+      case OpKind::Mul:
+        return pair([](float a, float b) { return a * b; });
+      case OpKind::Div:
+        return pair([](float a, float b) { return a / b; });
+      default:
+        smPanic("element-wise chain step of a non-element-wise kind");
+    }
 }
 
 } // namespace
 
-void
-blockedBinary(ir::OpKind kind, const float *a, const float *b, float *out,
-              const ir::Shape &outShape, const ir::Shape &aShape,
-              const ir::Shape &bShape, const ParallelRunner &par)
+EltwiseStep
+unaryStep(const ir::Node &node)
 {
-    const std::int64_t n = outShape.numElements();
+    EltwiseStep s{node.kind};
+    if (node.kind == ir::OpKind::Scale)
+        s.scale = static_cast<float>(
+                      node.attrs.getInt("scale_milli", 1000)) /
+                  1000.0f;
+    return s;
+}
 
-    // Fast path: both operands elementwise-identical to the output.
-    if (aShape == outShape && bShape == outShape) {
-        par.run(n, 4096, [&](std::int64_t i0, std::int64_t i1) {
-            switch (kind) {
-              case ir::OpKind::Add:
-                for (std::int64_t i = i0; i < i1; ++i)
-                    out[i] = a[i] + b[i];
-                break;
-              case ir::OpKind::Sub:
-                for (std::int64_t i = i0; i < i1; ++i)
-                    out[i] = a[i] - b[i];
-                break;
-              case ir::OpKind::Mul:
-                for (std::int64_t i = i0; i < i1; ++i)
-                    out[i] = a[i] * b[i];
-                break;
-              default:
-                for (std::int64_t i = i0; i < i1; ++i)
-                    out[i] = applyBinaryScalar(kind, a[i], b[i]);
-            }
-        });
-        return;
+std::optional<EltwiseStep>
+binaryStep(ir::OpKind kind, const float *other,
+           const ir::Shape &otherShape, const ir::Shape &outShape,
+           bool reversed)
+{
+    // From the innermost dim out, the operand's full-extent dims must
+    // form one run (size-1 output dims never break it); broadcast dims
+    // inward of it fold into `/ inner`, those outward into `% m`.
+    const int lead = outShape.rank() - otherShape.rank();
+    std::int64_t m = 1, inner = 1;
+    bool closed = false;
+    for (int d = outShape.rank() - 1; d >= 0; --d) {
+        const std::int64_t o = outShape.dim(d);
+        const bool kept = d >= lead && otherShape.dim(d - lead) == o;
+        if (o == 1)
+            continue;
+        if (kept && closed)
+            return std::nullopt; // a second run
+        if (kept)
+            m *= o;
+        else if (m == 1)
+            inner *= o;
+        else
+            closed = true;
     }
+    return EltwiseStep{kind, 1.0f, other, inner, m, reversed};
+}
 
-    // General broadcast: odometer over output coordinates with
-    // zero-stride dims on the broadcast operand(s).
-    const auto astr = broadcastStrides(outShape, aShape);
-    const auto bstr = broadcastStrides(outShape, bShape);
-    const int rank = outShape.rank();
-    par.run(n, 4096, [&](std::int64_t i0, std::int64_t i1) {
-        std::vector<std::int64_t> coord = ir::delinearize(i0, outShape);
-        std::int64_t aoff = 0, boff = 0;
-        for (int d = 0; d < rank; ++d) {
-            aoff += coord[static_cast<std::size_t>(d)] *
-                    astr[static_cast<std::size_t>(d)];
-            boff += coord[static_cast<std::size_t>(d)] *
-                    bstr[static_cast<std::size_t>(d)];
-        }
-        for (std::int64_t i = i0; i < i1; ++i) {
-            out[i] = applyBinaryScalar(kind, a[aoff], b[boff]);
-            for (int d = rank - 1; d >= 0; --d) {
-                const auto di = static_cast<std::size_t>(d);
-                aoff += astr[di];
-                boff += bstr[di];
-                if (++coord[di] < outShape.dim(d))
-                    break;
-                aoff -= astr[di] * outShape.dim(d);
-                boff -= bstr[di] * outShape.dim(d);
-                coord[di] = 0;
-            }
+void
+runEltwiseChain(const float *src, float *dst, std::int64_t n,
+                const std::vector<EltwiseStep> &steps,
+                const ParallelRunner &par)
+{
+    SM_ASSERT(!steps.empty(), "empty element-wise chain");
+    par.run(n, 4096, [&](std::int64_t e0, std::int64_t e1) {
+        for (std::int64_t b = e0; b < e1; b += kChainBlock) {
+            const std::int64_t len = std::min(kChainBlock, e1 - b);
+            applyStep(steps[0], src + b, dst + b, b, len);
+            for (std::size_t i = 1; i < steps.size(); ++i)
+                applyStep(steps[i], dst + b, dst + b, b, len);
         }
     });
 }

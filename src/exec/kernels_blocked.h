@@ -3,9 +3,10 @@
  * Cache-blocked, thread-pooled CPU kernels for the cpu-blocked
  * execution backend, with runtime-dispatched SIMD inner loops.
  *
- * The element-wise, normalization and pooling kernels operate on raw
- * row-major float arrays.  The GEMM and convolution kernels
- * additionally accept strided *views* (MatView / PlaneLayout) so the
+ * The element-wise (one chain evaluator), normalization and pooling
+ * kernels operate on raw row-major float arrays.  The GEMM and
+ * convolution kernels additionally accept strided *views* (MatView /
+ * PlaneLayout) so the
  * backend can hand them tensors in the plan's packed (vec4) or
  * texture-order physical layouts directly: the stride arithmetic runs
  * in the micro-kernel load/store paths instead of a pack/unpack copy
@@ -29,6 +30,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <vector>
 
 #include "exec/simd_dispatch.h"
 #include "ir/graph.h"
@@ -215,7 +218,8 @@ void blockedConv2d(const float *x, const PlaneLayout &xl, const float *w,
                    runtime::BufferPool &scratch);
 
 /** Depthwise conv, direct-tiled through PlaneLayout views; parallel
- *  over (n, c) planes. */
+ *  over (n, c) planes.  When bias is non-null, bias[c % biasLen] is
+ *  added to every output pixel of channel c after accumulation. */
 void blockedDepthwiseConv2d(const float *x, const PlaneLayout &xl,
                             const float *w, float *out,
                             const PlaneLayout &ol, std::int64_t n_batch,
@@ -223,30 +227,48 @@ void blockedDepthwiseConv2d(const float *x, const PlaneLayout &xl,
                             std::int64_t wdim, std::int64_t oh,
                             std::int64_t ow, std::int64_t kh,
                             std::int64_t kw, std::int64_t stride,
-                            std::int64_t pad, const ParallelRunner &par);
+                            std::int64_t pad, const float *bias,
+                            std::int64_t biasLen,
+                            const ParallelRunner &par);
 
-/** y[i] = unary(x[i]) over n elements, parallel over ranges.  `node`
- *  supplies attribute-dependent kinds (Scale).  x may alias y. */
-void blockedUnary(ir::OpKind kind, const ir::Node &node, const float *x,
-                  float *y, std::int64_t n, const ParallelRunner &par);
+/** One op of an element-wise chain.  Unary: v = op(v).  Binary: at
+ *  output element e, v = v op other[(e / inner) % m] (reversed: the
+ *  operand on the left), or v = v op v when other is null. */
+struct EltwiseStep
+{
+    ir::OpKind kind = ir::OpKind::Identity;
+    float scale = 1.0f;           ///< Scale's factor
+    const float *other = nullptr; ///< binary operand; null: v op v
+    std::int64_t inner = 1;       ///< outputs per operand element
+    std::int64_t m = 1;           ///< operand elements in one cycle
+    bool reversed = false;
+};
 
-/** Scalar unary application (shared with the epilogue fuser). */
-float applyUnaryScalar(ir::OpKind kind, float x, const ir::Node &node);
-
-/** Scalar binary application (shared with the epilogue fuser). */
-float applyBinaryScalar(ir::OpKind kind, float a, float b);
+/** The step applying unary `node`. */
+EltwiseStep unaryStep(const ir::Node &node);
 
 /**
- * Broadcast binary out = a op b where `a` has the output shape and
- * `b` broadcasts per bStride: for every output index i the right
- * operand is b[broadcastOffset(i)].  Fast paths: same-shape
- * (linear), scalar, and trailing-suffix broadcast; the generic path
- * walks an odometer.  Parallel over ranges of the output.
+ * The step for binary `kind` whose operand `other` (otherShape)
+ * broadcasts against `outShape` over one contiguous run of output
+ * dims: same-shape, scalar, bias-row, leading-broadcast and
+ * per-channel [1, C, 1, 1] operands.  nullopt for two or more runs:
+ * broadcast such an operand to outShape first (planBroadcast).
  */
-void blockedBinary(ir::OpKind kind, const float *a, const float *b,
-                   float *out, const ir::Shape &outShape,
-                   const ir::Shape &aShape, const ir::Shape &bShape,
-                   const ParallelRunner &par);
+std::optional<EltwiseStep> binaryStep(ir::OpKind kind, const float *other,
+                                      const ir::Shape &otherShape,
+                                      const ir::Shape &outShape,
+                                      bool reversed);
+
+/**
+ * dst[e] = the steps applied in order to src[e], e in [0, n): a
+ * standalone op reads its input (src), a fused epilogue runs in place
+ * (src == dst).  Parallel over static ranges, each swept in L1-sized
+ * blocks one step at a time; the per-element arithmetic is fixed, so
+ * output bytes are independent of thread count.
+ */
+void runEltwiseChain(const float *src, float *dst, std::int64_t n,
+                     const std::vector<EltwiseStep> &steps,
+                     const ParallelRunner &par);
 
 /** Softmax over `axis` (reference semantics), parallel over slices. */
 void blockedSoftmax(const float *x, float *out, const ir::Shape &shape,

@@ -399,6 +399,28 @@ planRelayout(const Shape &shape, const Layout &srcL, const Layout &dstL)
     return cp;
 }
 
+StridedCopy
+planBroadcast(const Shape &shape, const Shape &outShape)
+{
+    const auto srcStr = shape.rowMajorStrides();
+    const auto dstStr = outShape.rowMajorStrides();
+    const int lead = outShape.rank() - shape.rank();
+    StridedCopy cp;
+    for (int d = 0; d < outShape.rank(); ++d) {
+        const std::int64_t e = outShape.dim(d);
+        if (e == 1)
+            continue;
+        const bool kept = d >= lead && shape.dim(d - lead) != 1;
+        cp.loops.push_back({e,
+                            kept ? srcStr[static_cast<std::size_t>(
+                                       d - lead)]
+                                 : 0,
+                            dstStr[static_cast<std::size_t>(d)], {}, {}});
+    }
+    mergeLoops(cp);
+    return cp;
+}
+
 void
 runStridedCopy(const StridedCopy &cp, const float *src, float *dst,
                const ParallelRunner &par)

@@ -81,6 +81,11 @@ std::optional<StridedCopy> planStridedCopy(const index::IndexMap &map,
 StridedCopy planRelayout(const ir::Shape &shape, const ir::Layout &srcL,
                          const ir::Layout &dstL);
 
+/** The copy that broadcasts a row-major `shape` tensor to row-major
+ *  `outShape` (numpy rules): broadcast dims read at source stride 0. */
+StridedCopy planBroadcast(const ir::Shape &shape,
+                          const ir::Shape &outShape);
+
 /** Execute a planned copy, parallel over the nest's rows. */
 void runStridedCopy(const StridedCopy &copy, const float *src,
                     float *dst, const ParallelRunner &par);

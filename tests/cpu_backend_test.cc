@@ -20,6 +20,7 @@
 #include "exec/executor.h"
 #include "exec/kernels_blocked.h"
 #include "models/models.h"
+#include "exec/strided_copy.h"
 #include "runtime/plan_executor.h"
 #include "support/error.h"
 
@@ -271,6 +272,219 @@ TEST(CpuBackendStats, LookupGathersAreCountedAsInterpreted)
         o.seed = kSeed;
         exec::CpuBackend(o).run(plan, inputs, &stats);
         EXPECT_GE(stats.gathersInterpreted, 1) << "stage " << stage;
+    }
+}
+
+// -------------------------------------------------------------------
+// Element-wise chain evaluator (runEltwiseChain) against exec::evalNode
+// -------------------------------------------------------------------
+
+const ir::Shape kChainOut({2, 6, 24, 40}); // > 4096 elements: splits
+
+/** Seeded data of `shape` with both signs and no zeros. */
+exec::Tensor
+chainData(const ir::Shape &shape, std::uint32_t seed)
+{
+    exec::Tensor t(shape);
+    std::uint32_t r = seed;
+    for (std::int64_t i = 0; i < t.numElements(); ++i) {
+        r = r * 1664525u + 1013904223u;
+        const float mag = 0.25f + static_cast<float>(r >> 8) / 16777216.0f;
+        t.at(i) = (r & 1u) ? mag : -mag;
+    }
+    return t;
+}
+
+/** runEltwiseChain(src, out, steps) at 1, 2 and 4 threads; the three
+ *  results must be byte-identical.  Returns the serial one. */
+exec::Tensor
+runChain(const float *src, const std::vector<exec::EltwiseStep> &steps)
+{
+    std::vector<exec::Tensor> runs;
+    for (int threads : {1, 2, 4}) {
+        exec::Tensor out(kChainOut);
+        exec::runEltwiseChain(src, out.data(), out.numElements(), steps,
+                              exec::ParallelRunner(threads));
+        runs.push_back(std::move(out));
+    }
+    for (std::size_t r = 1; r < runs.size(); ++r)
+        EXPECT_EQ(0, std::memcmp(runs[0].data(), runs[r].data(),
+                                 static_cast<std::size_t>(
+                                     runs[0].numElements()) *
+                                     sizeof(float)))
+            << "threads run " << r;
+    return runs[0];
+}
+
+/** The reference executor's result for the graph's single op node. */
+exec::Tensor
+referenceOf(const ir::Graph &g, ir::ValueId out,
+            const std::vector<const exec::Tensor *> &inputs)
+{
+    return exec::evalNode(g, g.node(g.value(out).producer), inputs);
+}
+
+TEST(EltwiseChain, UnaryKindsMatchReference)
+{
+    const exec::Tensor x = chainData(kChainOut, 7);
+    for (ir::OpKind kind :
+         {ir::OpKind::Relu, ir::OpKind::Gelu, ir::OpKind::Silu,
+          ir::OpKind::Sigmoid, ir::OpKind::Tanh, ir::OpKind::Exp,
+          ir::OpKind::Sqrt, ir::OpKind::Neg, ir::OpKind::Identity,
+          ir::OpKind::Scale}) {
+        ir::GraphBuilder b;
+        ir::Attrs attrs;
+        if (kind == ir::OpKind::Scale)
+            attrs.set("scale_milli", 375);
+        const auto y = b.addNode(kind, {b.input("x", kChainOut)}, attrs);
+        const ir::Graph g = b.finish();
+        const exec::Tensor got = runChain(
+            x.data(), {exec::unaryStep(g.node(g.value(y).producer))});
+        EXPECT_LE(exec::maxRelDiff({referenceOf(g, y, {&x})}, {got}),
+                  kTolerance)
+            << ir::opKindName(kind);
+    }
+}
+
+TEST(EltwiseChain, BinaryKindsMatchReferenceForEveryOperandForm)
+{
+    struct Form
+    {
+        const char *name;
+        ir::Shape shape;
+        bool oneRun; // reads in place; else broadcast by a copy first
+    };
+    const std::vector<Form> forms = {
+        {"same-shape", kChainOut, true},
+        {"scalar", ir::Shape({1}), true},
+        {"bias row", ir::Shape({40}), true},
+        {"leading broadcast", ir::Shape({6, 24, 40}), true},
+        {"per-channel", ir::Shape({1, 6, 1, 1}), true},
+        {"two runs", ir::Shape({2, 1, 24, 1}), false},
+    };
+    const exec::Tensor full = chainData(kChainOut, 11);
+    for (ir::OpKind kind : {ir::OpKind::Add, ir::OpKind::Sub,
+                            ir::OpKind::Mul, ir::OpKind::Div}) {
+        for (const Form &f : forms) {
+            const exec::Tensor operand = chainData(f.shape, 13);
+            for (bool reversed : {false, true}) {
+                // reversed: operand op full, so the chain reads `full`
+                // and the step applies the operand on the left.
+                ir::GraphBuilder b;
+                const auto fv = b.input("full", kChainOut);
+                const auto ov = b.input("operand", f.shape);
+                const auto y = reversed ? b.binary(kind, ov, fv)
+                                        : b.binary(kind, fv, ov);
+                const ir::Graph g = b.finish();
+
+                auto step = exec::binaryStep(kind, operand.data(),
+                                             f.shape, kChainOut,
+                                             reversed);
+                EXPECT_EQ(step.has_value(), f.oneRun) << f.name;
+                exec::Tensor expanded(kChainOut);
+                if (!step) {
+                    exec::runStridedCopy(
+                        exec::planBroadcast(f.shape, kChainOut),
+                        operand.data(), expanded.data(),
+                        exec::ParallelRunner(1));
+                    step = exec::binaryStep(kind, expanded.data(),
+                                            kChainOut, kChainOut,
+                                            reversed);
+                }
+                ASSERT_TRUE(step.has_value());
+                const exec::Tensor got = runChain(full.data(), {*step});
+                const exec::Tensor ref =
+                    reversed ? referenceOf(g, y, {&operand, &full})
+                             : referenceOf(g, y, {&full, &operand});
+                EXPECT_LE(exec::maxRelDiff({ref}, {got}), kTolerance)
+                    << ir::opKindName(kind) << " " << f.name
+                    << (reversed ? " reversed" : "");
+            }
+        }
+    }
+}
+
+TEST(EltwiseChain, SelfOperandMatchesReference)
+{
+    const exec::Tensor x = chainData(kChainOut, 17);
+    for (ir::OpKind kind : {ir::OpKind::Add, ir::OpKind::Sub,
+                            ir::OpKind::Mul, ir::OpKind::Div}) {
+        ir::GraphBuilder b;
+        const auto xv = b.input("x", kChainOut);
+        const auto y = b.binary(kind, xv, xv);
+        const ir::Graph g = b.finish();
+        const exec::Tensor got =
+            runChain(x.data(), {exec::EltwiseStep{kind}});
+        EXPECT_LE(exec::maxRelDiff({referenceOf(g, y, {&x, &x})}, {got}),
+                  kTolerance)
+            << ir::opKindName(kind);
+    }
+}
+
+TEST(EltwiseChain, MultiStepChainMatchesNodeByNodeReference)
+{
+    // Every step indexes its operand by absolute output element, so a
+    // chain spanning many blocks must match the nodes run one by one.
+    ir::GraphBuilder b;
+    const ir::Shape chShape({1, 6, 1, 1}), rowShape({40});
+    const auto xv = b.input("x", kChainOut);
+    const auto chv = b.input("ch", chShape);
+    const auto rowv = b.input("row", rowShape);
+    auto y = b.binary(ir::OpKind::Add, xv, chv);
+    y = b.binary(ir::OpKind::Mul, y, rowv);
+    y = b.binary(ir::OpKind::Sub, chv, y);
+    b.markOutput(b.unary(ir::OpKind::Relu, y));
+    const ir::Graph g = b.finish();
+
+    const exec::Tensor x = chainData(kChainOut, 19);
+    const exec::Tensor ch = chainData(chShape, 23);
+    const exec::Tensor row = chainData(rowShape, 29);
+    const auto ref = exec::Executor(kSeed).runOutputs(
+        g, {{xv, x}, {chv, ch}, {rowv, row}});
+    using ir::OpKind;
+    const exec::Tensor got = runChain(
+        x.data(),
+        {*exec::binaryStep(OpKind::Add, ch.data(), chShape, kChainOut,
+                           false),
+         *exec::binaryStep(OpKind::Mul, row.data(), rowShape, kChainOut,
+                           false),
+         *exec::binaryStep(OpKind::Sub, ch.data(), chShape, kChainOut,
+                           true),
+         exec::EltwiseStep{OpKind::Relu}});
+    EXPECT_LE(exec::maxRelDiff(ref, {got}), kTolerance);
+}
+
+TEST(CpuBackendEpilogue, FoldsBiasSelfReversedAndExpandedOperands)
+{
+    // MatMul -> Add(bias row) -> Mul(y, y) -> Sub(c, y) -> Scale, where
+    // c spans two runs of output dims and is broadcast by a copy: all
+    // four element-wise ops run in the matmul's epilogue pass.
+    ir::GraphBuilder b;
+    const auto x = b.input("x", ir::Shape({2, 8, 16}));
+    auto y = b.matmul(x, b.constant("w", ir::Shape({16, 12})));
+    y = b.binary(ir::OpKind::Add, y, b.constant("bias", ir::Shape({12})));
+    y = b.binary(ir::OpKind::Mul, y, y);
+    y = b.binary(ir::OpKind::Sub, b.constant("c", ir::Shape({2, 1, 12})),
+                 y);
+    ir::Attrs half;
+    half.set("scale_milli", 500);
+    b.markOutput(b.addNode(ir::OpKind::Scale, {y}, half));
+    const ir::Graph g = b.finish();
+
+    for (int stage : {0, 3}) {
+        auto plan = core::compileStage(g, device::adreno740(), stage);
+        exec::Executor ex(kSeed);
+        auto inputs = exec::makeSeededInputs(plan.graph, ex);
+        const auto ref = ex.runOutputs(plan.graph, inputs);
+        exec::CpuBackendOptions o;
+        o.threads = 2;
+        o.seed = kSeed;
+        exec::CpuBackendStats stats;
+        const auto got = exec::CpuBackend(o).run(plan, inputs, &stats);
+        EXPECT_EQ(stats.fusedEpilogueOps, 4) << "stage " << stage;
+        EXPECT_EQ(stats.broadcastExpansions, 1) << "stage " << stage;
+        EXPECT_LE(exec::maxRelDiff(ref, got), kTolerance)
+            << "stage " << stage;
     }
 }
 

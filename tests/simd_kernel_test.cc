@@ -432,8 +432,10 @@ TEST(NativeKernelViews, DepthwisePackedPlanesMatchBitwise)
     const ir::Layout nchw4 = ir::Layout::packed(4, 1);
     std::vector<float> x(static_cast<std::size_t>(nb * c * h * w));
     std::vector<float> wgt(static_cast<std::size_t>(c * kh * kw));
+    std::vector<float> bias(static_cast<std::size_t>(c));
     fill(x, 31);
     fill(wgt, 37);
+    fill(bias, 41);
     const std::vector<float> xPhys = packTensor(x, xShape, nchw4);
     const auto xStr = nchw4.strides(xShape);
     const auto oStr = nchw4.strides(oShape);
@@ -447,18 +449,31 @@ TEST(NativeKernelViews, DepthwisePackedPlanesMatchBitwise)
         static_cast<std::size_t>(nb * c * oh * ow), 0.0f);
     std::vector<float> outPhys(
         static_cast<std::size_t>(nchw4.storageElements(oShape)), 0.0f);
-    exec::blockedDepthwiseConv2d(
-        x.data(), exec::PlaneLayout::rowMajor(c, h, w), wgt.data(),
-        outRow.data(), exec::PlaneLayout::rowMajor(c, oh, ow), nb, c, h,
-        w, oh, ow, kh, kw, stride, pad, par);
+    std::vector<float> outNoBias(outRow.size(), 0.0f);
+    const exec::PlaneLayout xlRow = exec::PlaneLayout::rowMajor(c, h, w);
+    const exec::PlaneLayout olRow = exec::PlaneLayout::rowMajor(c, oh, ow);
+    exec::blockedDepthwiseConv2d(x.data(), xlRow, wgt.data(),
+                                 outRow.data(), olRow, nb, c, h, w, oh,
+                                 ow, kh, kw, stride, pad, bias.data(), c,
+                                 par);
     exec::blockedDepthwiseConv2d(xPhys.data(), xlNat, wgt.data(),
                                  outPhys.data(), olNat, nb, c, h, w, oh,
-                                 ow, kh, kw, stride, pad, par);
+                                 ow, kh, kw, stride, pad, bias.data(), c,
+                                 par);
+    exec::blockedDepthwiseConv2d(x.data(), xlRow, wgt.data(),
+                                 outNoBias.data(), olRow, nb, c, h, w, oh,
+                                 ow, kh, kw, stride, pad, nullptr, 1, par);
     const std::vector<float> outBack =
         unpackTensor(outPhys, oShape, nchw4);
     EXPECT_EQ(std::memcmp(outRow.data(), outBack.data(),
                           outRow.size() * sizeof(float)),
               0);
+    // The bias lands after accumulation: one add per output pixel.
+    for (std::size_t i = 0; i < outRow.size(); ++i) {
+        const auto ch = static_cast<std::size_t>(
+            (static_cast<std::int64_t>(i) / (oh * ow)) % c);
+        ASSERT_EQ(outRow[i], outNoBias[i] + bias[ch]) << i;
+    }
 }
 
 // -------------------------------------------------------------------

@@ -623,6 +623,9 @@ cmdRun(int argc, char **argv)
                     st.relayoutKernels,
                     formatBytes(static_cast<std::uint64_t>(
                         st.bytesRelayouted)).c_str());
+        std::printf("  element-wise ops folded into epilogues %d, "
+                    "operands broadcast by a copy %d\n",
+                    st.fusedEpilogueOps, st.broadcastExpansions);
     }
     if (st.fusedAttentionKernels > 0) {
         std::printf("  fused attention: %d streaming kernels, %s score "
