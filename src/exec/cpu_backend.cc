@@ -220,7 +220,7 @@ class PlanRunner
 
     std::map<std::pair<ValueId, int>, std::size_t> lastUse_;
     std::map<std::pair<ValueId, int>, StoredBuf> env_;
-    std::map<ValueId, const float *> constants_;
+    std::map<ValueId, Tensor> constants_;
 
     // Per-kernel state.
     std::map<ValueId, LocalBuf> locals_;
@@ -232,15 +232,11 @@ const float *
 PlanRunner::constantData(ValueId v)
 {
     auto it = constants_.find(v);
-    if (it != constants_.end())
-        return it->second;
-    Tensor t = constSynth_.synthesizeConstant(graph_, v);
-    float *buf = alloc(t.numElements());
-    std::memcpy(buf, t.data(),
-                static_cast<std::size_t>(t.numElements()) *
-                    sizeof(float));
-    constants_[v] = buf;
-    return buf;
+    if (it == constants_.end())
+        it = constants_
+                 .emplace(v, constSynth_.synthesizeConstant(graph_, v))
+                 .first;
+    return it->second.data();
 }
 
 StoredBuf
@@ -299,9 +295,8 @@ PlanRunner::resolveLocal(const Kernel &k, ValueId v)
                 src_layout = s.layout;
             }
             float *dst = alloc(shapeOf(v).numElements());
-            if (!materializeMapped(*in.readMap, src_data, src_layout,
-                                   shapeOf(in.source), dst, par_))
-                ++stats_.gathersInterpreted;
+            materializeMapped(*in.readMap, src_data, src_layout,
+                              shapeOf(in.source), dst, par_);
             ++stats_.substitutesMaterialized;
             locals_[v] = {dst, true};
             return dst;
@@ -765,9 +760,8 @@ PlanRunner::evalNodeBlocked(const Kernel &k, const Node &node)
         index::IndexMap map =
             index::IndexMap::fromNode(graph_, node).simplified();
         float *out = alloc(os.numElements());
-        if (!materializeMapped(map, x, Layout::rowMajor(xs.rank()), xs,
-                               out, par_))
-            ++stats_.gathersInterpreted;
+        materializeMapped(map, x, Layout::rowMajor(xs.rank()), xs, out,
+                          par_);
         locals_[node.output] = {out, true};
         return;
       }

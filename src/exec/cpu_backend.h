@@ -85,19 +85,16 @@ struct CpuBackendStats
      *  broadcast to the output shape by a copy first. */
     int broadcastExpansions = 0;
 
-    /** Eliminated-chain reads reproduced via composed IndexMaps. */
+    /** Eliminated-chain reads reproduced via composed IndexMaps, each
+     *  one strided copy (exec/strided_copy.h). */
     int substitutesMaterialized = 0;
-
-    /** Map materializations (eliminated-chain reads and surviving
-     *  Reshape/Transpose/... nodes) whose map did not lower to a
-     *  strided loop nest and ran the per-element interpreter. */
-    int gathersInterpreted = 0;
 
     /** Bytes moved by layout packing/unpacking and relayout copies --
      *  the transformation work the plan did NOT eliminate. */
     std::int64_t bytesRelayouted = 0;
 
-    /** BufferPool high-water mark (intermediates + constants). */
+    /** BufferPool high-water mark: intermediates only (constants stay
+     *  in the tensors they were synthesized into). */
     std::int64_t poolHighWaterBytes = 0;
 
     /** BufferPool allocations served by reuse. */

@@ -31,7 +31,7 @@ laneOffset(std::int64_t c, std::int64_t blockStride)
  * coordinate * stride[d].  A packed dim within one lane group has
  * offset c itself (stride 1); one spanning several lane groups
  * (`packed`) contributes (c / 4) * stride + c % 4, taken from the
- * lowered pair at `split` -- or from an offset table.
+ * lowered pair at `split`.
  */
 struct Side
 {
@@ -52,122 +52,19 @@ sideOf(const Layout &l, const Shape &shape, std::size_t first)
     return s;
 }
 
-/** The side's offset from per-expression values (one loop's
- *  coefficients, or the bases), leaving out a tabled packed dim. */
+/** The side's offset from per-expression values: one loop's
+ *  coefficients or table row, or the bases.  Linear in them. */
 std::int64_t
-sideOffset(const Side &s, const std::vector<std::int64_t> &v, bool tables)
+sideOffset(const Side &s, const std::int64_t *v)
 {
     std::int64_t off = 0;
     for (std::size_t d = 0; d < s.stride.size(); ++d) {
         if (static_cast<int>(d) != s.packed)
             off += v[s.first + d] * s.stride[d];
-        else if (!tables)
+        else
             off += v[s.split] * s.stride[d] + v[s.split + 1];
     }
     return off;
-}
-
-/** A multi-group vec4-packed dim whose coordinate -- expression
- *  `expr` of the nest -- goes into offset tables instead of lane
- *  digits. */
-struct Lane
-{
-    std::size_t expr = 0;
-    bool srcSide = true;
-    std::int64_t blockStride = 0;
-};
-
-/** Largest offset table a copy may carry, in entries. */
-constexpr std::int64_t kMaxTableEntries = std::int64_t{1} << 16;
-
-/**
- * The copy for `nest`, whose expressions are the source offset, the
- * destination offset, then the packed coordinate of each lane (at
- * most one per side).  The loops a lane coordinate depends on
- * collapse into one loop, at the innermost one's position, whose
- * tables enumerate their combined index space; two lanes sharing a
- * loop share one collapsed loop.  nullopt when a table would exceed
- * kMaxTableEntries.
- */
-std::optional<StridedCopy>
-buildCopy(const index::LoopNest &nest, const std::vector<Lane> &lanes)
-{
-    const std::size_t n = nest.loops.size();
-    StridedCopy cp;
-    cp.srcBase = nest.base[0];
-    cp.dstBase = nest.base[1];
-    cp.loops.reserve(n);
-
-    // group[i]: the lane group loop i collapses into (-1: none), named
-    // by the first lane that claimed it.
-    std::vector<int> group(n, -1);
-    std::vector<int> laneGroup(lanes.size(), -1);
-    for (std::size_t k = 0; k < lanes.size(); ++k) {
-        const std::size_t e = lanes[k].expr;
-        int g = static_cast<int>(k);
-        for (std::size_t i = 0; i < n; ++i)
-            if (nest.loops[i].coef[e] != 0 && group[i] >= 0)
-                g = group[i]; // join the other side's group
-        for (std::size_t i = 0; i < n; ++i) {
-            if (nest.loops[i].coef[e] != 0) {
-                group[i] = g;
-                laneGroup[k] = g;
-            }
-        }
-        if (laneGroup[k] < 0) // constant coordinate
-            (lanes[k].srcSide ? cp.srcBase : cp.dstBase) +=
-                laneOffset(nest.base[e], lanes[k].blockStride);
-    }
-
-    for (std::size_t i = 0; i < n; ++i) {
-        const index::LoopNest::Loop &l = nest.loops[i];
-        const int g = group[i];
-        if (g < 0) {
-            cp.loops.push_back({l.extent, l.coef[0], l.coef[1], {}, {}});
-            continue;
-        }
-        if (std::find(group.begin() + static_cast<std::ptrdiff_t>(i) + 1,
-                      group.end(), g) != group.end())
-            continue; // the group's innermost loop carries it
-        std::vector<std::size_t> members;
-        std::int64_t extent = 1;
-        for (std::size_t m = 0; m <= i; ++m) {
-            if (group[m] == g) {
-                members.push_back(m);
-                extent *= nest.loops[m].extent;
-            }
-        }
-        if (extent > kMaxTableEntries)
-            return std::nullopt;
-        CopyLoop loop;
-        loop.extent = extent;
-        for (std::int64_t q = 0; q < extent; ++q) {
-            // Decode q into the members' indices (last member fastest)
-            // and sum each side's offset, lanes included.
-            std::int64_t rest = q;
-            std::int64_t off[2] = {0, 0};
-            std::int64_t coord[2] = {0, 0};
-            for (std::size_t mi = members.size(); mi-- > 0;) {
-                const index::LoopNest::Loop &ml = nest.loops[members[mi]];
-                const std::int64_t j = rest % ml.extent;
-                rest /= ml.extent;
-                off[0] += j * ml.coef[0];
-                off[1] += j * ml.coef[1];
-                for (std::size_t k = 0; k < lanes.size(); ++k)
-                    coord[k] += j * ml.coef[lanes[k].expr];
-            }
-            for (std::size_t k = 0; k < lanes.size(); ++k) {
-                if (laneGroup[k] == g)
-                    off[lanes[k].srcSide ? 0 : 1] += laneOffset(
-                        nest.base[lanes[k].expr] + coord[k],
-                        lanes[k].blockStride);
-            }
-            loop.srcTable.push_back(off[0]);
-            loop.dstTable.push_back(off[1]);
-        }
-        cp.loops.push_back(std::move(loop));
-    }
-    return cp;
 }
 
 bool
@@ -260,105 +157,57 @@ copyPlaneTables(const CopyLoop &outer, std::int64_t j0, std::int64_t j1,
     }
 }
 
-/** The per-element fallback for maps that do not lower. */
-void
-interpretMapped(const index::IndexMap &map, const float *src,
-                const Layout &srcL, const Shape &srcShape, float *dst,
-                const ParallelRunner &par)
-{
-    const Shape &os = map.outputShape();
-    const auto sstr = srcL.strides(srcShape);
-    const int spack = srcL.packedDim();
-    const index::CompiledExprs exprs =
-        index::CompiledExprs::compile(map.exprs());
-    const int in_rank = srcShape.rank();
-    const int out_rank = os.rank();
-    par.run(os.numElements(), 1024,
-            [&](std::int64_t i0, std::int64_t i1) {
-        std::vector<std::int64_t> coord = ir::delinearize(i0, os);
-        std::vector<std::int64_t> stack(exprs.stackDepth());
-        for (std::int64_t i = i0; i < i1; ++i) {
-            std::int64_t off = 0;
-            for (int d = 0; d < in_rank; ++d) {
-                const std::int64_t c = exprs.eval(d, coord, stack);
-                const std::int64_t s = sstr[static_cast<std::size_t>(d)];
-                off += d == spack ? laneOffset(c, s) : c * s;
-            }
-            dst[i] = src[off];
-            for (int d = out_rank - 1; d >= 0; --d) {
-                const auto di = static_cast<std::size_t>(d);
-                if (++coord[di] < os.dim(d))
-                    break;
-                coord[di] = 0;
-            }
-        }
-    });
-}
-
 } // namespace
 
-std::optional<StridedCopy>
+StridedCopy
 planStridedCopy(const index::IndexMap &map, const Layout &srcL,
                 const Shape &srcShape, const Layout &dstL)
 {
     const Shape &os = map.outputShape();
     // Lowered expressions: the source coordinates, the destination
     // coordinates (the output variables), then each multi-group
-    // packed dim's (c / 4, c % 4) pair.
-    std::vector<Expr> coords = map.exprs();
+    // packed dim's (c / 4, c % 4) pair.  The pair lowers to lane
+    // digits when c / 4 nests, else (a ragged extent, a slice offset
+    // that straddles lanes) to a table loop over the digits c reads.
+    std::vector<Expr> exprs = map.exprs();
     Side src = sideOf(srcL, srcShape, 0);
-    Side dst = sideOf(dstL, os, coords.size());
+    Side dst = sideOf(dstL, os, exprs.size());
     for (int d = 0; d < os.rank(); ++d)
-        coords.push_back(index::makeVar(d));
-    // First try splitting packed dims into lane digits; if that fails,
-    // retry with their coordinates in offset tables.
-    for (const bool tables : {false, true}) {
-        if (tables && src.packed < 0 && dst.packed < 0)
-            break; // no packed dim a table could help with
-        std::vector<Expr> exprs = coords;
-        for (Side *sd : {&src, &dst}) {
-            if (tables || sd->packed < 0)
-                continue;
-            const Expr &c = coords[sd->first +
-                                   static_cast<std::size_t>(sd->packed)];
-            sd->split = exprs.size();
-            exprs.push_back(index::makeDiv(c, 4));
-            exprs.push_back(index::makeMod(c, 4));
-        }
-        const std::optional<index::LoopNest> nest =
-            index::lowerToLoopNest(exprs, os);
-        if (!nest)
+        exprs.push_back(index::makeVar(d));
+    for (Side *sd : {&src, &dst}) {
+        if (sd->packed < 0)
             continue;
-        // Compose with the layouts: expressions 0 and 1 become the
-        // source and destination offsets, then one per tabled lane.
-        std::vector<Lane> lanes;
-        std::vector<std::size_t> laneCoord;
-        for (const Side *sd : {&src, &dst}) {
-            if (!tables || sd->packed < 0)
-                continue;
-            const auto p = static_cast<std::size_t>(sd->packed);
-            lanes.push_back({2 + lanes.size(), sd == &src, sd->stride[p]});
-            laneCoord.push_back(sd->first + p);
-        }
-        auto compose = [&](const std::vector<std::int64_t> &v) {
-            std::vector<std::int64_t> out{sideOffset(src, v, tables),
-                                          sideOffset(dst, v, tables)};
-            for (std::size_t c : laneCoord)
-                out.push_back(v[c]);
-            return out;
-        };
-        index::LoopNest offsets;
-        offsets.base = compose(nest->base);
-        offsets.loops.reserve(nest->loops.size());
-        for (const index::LoopNest::Loop &l : nest->loops)
-            offsets.loops.push_back({l.extent, compose(l.coef)});
-        std::optional<StridedCopy> cp = buildCopy(offsets, lanes);
-        if (!cp)
-            continue;
-        mergeLoops(*cp);
-        return cp;
+        const Expr c =
+            exprs[sd->first + static_cast<std::size_t>(sd->packed)];
+        sd->split = exprs.size();
+        exprs.push_back(index::makeDiv(c, 4));
+        exprs.push_back(index::makeMod(c, 4));
     }
-    return std::nullopt;
+    const index::LoopNest nest = index::lowerToLoopNest(exprs, os);
+    // Compose with the layouts: each loop's per-expression
+    // contributions become the two sides' offset contributions.
+    StridedCopy cp;
+    cp.srcBase = sideOffset(src, nest.base.data());
+    cp.dstBase = sideOffset(dst, nest.base.data());
+    cp.loops.reserve(nest.loops.size());
+    for (const index::LoopNest::Loop &l : nest.loops) {
+        if (!l.isTable()) {
+            cp.loops.push_back({l.extent, sideOffset(src, l.coef.data()),
+                                sideOffset(dst, l.coef.data()), {}, {}});
+            continue;
+        }
+        CopyLoop loop{l.extent, 0, 0, {}, {}};
+        loop.srcTable.reserve(static_cast<std::size_t>(l.extent));
+        loop.dstTable.reserve(static_cast<std::size_t>(l.extent));
+        for (std::size_t row = 0; row < l.table.size();
+             row += exprs.size()) {
+            loop.srcTable.push_back(sideOffset(src, &l.table[row]));
+            loop.dstTable.push_back(sideOffset(dst, &l.table[row]));
+        }
+        cp.loops.push_back(std::move(loop));
+    }
+    mergeLoops(cp);
+    return cp;
 }
 
 StridedCopy
@@ -503,19 +352,15 @@ runStridedCopy(const StridedCopy &cp, const float *src, float *dst,
     });
 }
 
-bool
+void
 materializeMapped(const index::IndexMap &map, const float *src,
                   const Layout &srcL, const Shape &srcShape, float *dst,
                   const ParallelRunner &par)
 {
-    const std::optional<StridedCopy> cp = planStridedCopy(
-        map, srcL, srcShape, Layout::rowMajor(map.outputShape().rank()));
-    if (!cp) {
-        interpretMapped(map, src, srcL, srcShape, dst, par);
-        return false;
-    }
-    runStridedCopy(*cp, src, dst, par);
-    return true;
+    runStridedCopy(planStridedCopy(map, srcL, srcShape,
+                                   Layout::rowMajor(
+                                       map.outputShape().rank())),
+                   src, dst, par);
 }
 
 void

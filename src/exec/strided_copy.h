@@ -2,35 +2,33 @@
  * @file
  * The cpu-blocked backend's data-movement engine: every gather
  * through a composed IndexMap and every layout pack/unpack runs as one
- * affine loop nest of strided copies.
+ * loop nest of strided copies.
  *
  * planStridedCopy() composes a map with the physical strides of the
- * source and destination Layouts into one offset expression per side
- * and lowers both with index::lowerToLoopNest().  A vec4-packed
- * dimension enters as (c / 4) * stride + c % 4, which the lowering
- * turns into an extra (c / 4, c % 4) digit.  When that split is
- * impossible (a ragged packed extent, a slice offset that straddles
- * lanes) the packed coordinate's single loop carries a per-index
- * offset table instead, sized by the extents of the loops it depends
- * on.  Adjacent loops that walk both sides contiguously are merged, so
- * reshapes and row-major runs become memcpy calls.  planRelayout()
- * builds the identity map's nest directly, since every pack and unpack
- * at a kernel boundary needs one.
+ * source and destination Layouts: it lowers the map's coordinates, the
+ * output coordinates and each multi-group vec4-packed coordinate's
+ * (c / 4, c % 4) pair with index::lowerToLoopNest(), then turns every
+ * loop's per-expression contributions into one offset contribution
+ * per side.  The lowering is total, so every map plans.  Affine loops
+ * become strides; a table loop (a Lookup from a Gather, a divisor
+ * chain that does not nest, a ragged packed extent or a slice offset
+ * that straddles lanes) keeps a per-index offset table per side, with
+ * one entry per combination of the digits it collapses -- at worst one
+ * per output element.  Adjacent loops that walk both sides
+ * contiguously are merged, so reshapes and row-major runs become
+ * memcpy calls.  planRelayout() builds the identity map's nest
+ * directly, since every pack and unpack at a kernel boundary needs
+ * one.
  *
  * runStridedCopy() partitions the loop nest's rows (every loop but
  * the innermost) statically over a ParallelRunner.  Each element is
  * written by exactly one worker and nothing is computed, so output is
  * byte-identical at any thread count.
- *
- * Maps that do not lower (Lookup from a Gather, divisor chains that do
- * not nest) run through the per-element index::CompiledExprs
- * interpreter instead; materializeMapped() reports which path ran.
  */
 #ifndef SMARTMEM_EXEC_STRIDED_COPY_H
 #define SMARTMEM_EXEC_STRIDED_COPY_H
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "ir/layout.h"
@@ -68,13 +66,12 @@ struct StridedCopy
 /**
  * Plan the copy of map.outputShape() elements, stored in `dstL`, from
  * a source of shape `srcShape` stored in `srcL`, reading element
- * coordinate c from map.apply(c).  nullopt when the map (composed with
- * the layouts) does not lower to a loop nest.
+ * coordinate c from map.apply(c).
  */
-std::optional<StridedCopy> planStridedCopy(const index::IndexMap &map,
-                                           const ir::Layout &srcL,
-                                           const ir::Shape &srcShape,
-                                           const ir::Layout &dstL);
+StridedCopy planStridedCopy(const index::IndexMap &map,
+                            const ir::Layout &srcL,
+                            const ir::Shape &srcShape,
+                            const ir::Layout &dstL);
 
 /** The copy of a `shape` tensor from `srcL` to `dstL` storage: the
  *  identity map's plan, built directly (every layout pair plans). */
@@ -93,10 +90,9 @@ void runStridedCopy(const StridedCopy &copy, const float *src,
 /**
  * dst (row-major map.outputShape()) = src (srcShape stored in `srcL`)
  * read through `map`: reproduces an eliminated transformation chain in
- * one pass.  Returns false when the map did not lower and the
- * per-element interpreter ran instead (same result, slower).
+ * one pass.
  */
-bool materializeMapped(const index::IndexMap &map, const float *src,
+void materializeMapped(const index::IndexMap &map, const float *src,
                        const ir::Layout &srcL, const ir::Shape &srcShape,
                        float *dst, const ParallelRunner &par);
 

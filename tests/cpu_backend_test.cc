@@ -11,6 +11,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -21,6 +22,7 @@
 #include "exec/kernels_blocked.h"
 #include "models/models.h"
 #include "exec/strided_copy.h"
+#include "index/loop_nest.h"
 #include "runtime/plan_executor.h"
 #include "support/error.h"
 
@@ -237,14 +239,39 @@ stage3Stats(const ir::Graph &g, int threads)
     return stats;
 }
 
+bool
+hasTableLoop(const index::LoopNest &nest)
+{
+    return std::any_of(nest.loops.begin(), nest.loops.end(),
+                       [](const index::LoopNest::Loop &l) {
+                           return l.isTable();
+                       });
+}
+
+/** Read maps of `plan` with a non-affine subterm: their gathers run a
+ *  table loop (index/loop_nest.h). */
+int
+tableLoopReadMaps(const runtime::ExecutionPlan &plan)
+{
+    int n = 0;
+    for (const runtime::Kernel &k : plan.kernels)
+        for (const runtime::KernelInput &in : k.inputs)
+            if (in.readMap &&
+                hasTableLoop(index::lowerToLoopNest(*in.readMap)))
+                ++n;
+    return n;
+}
+
 TEST(CpuBackendStats, FullSizeSwinGathersNeverInterpret)
 {
     // Every composed read map of full-size Swin (window partition and
-    // merge, QKV head split, patch merge) lowers to a strided loop
-    // nest.
-    const auto stats = stage3Stats(models::buildModel("Swin", 1), 4);
-    EXPECT_GT(stats.substitutesMaterialized, 0);
-    EXPECT_EQ(stats.gathersInterpreted, 0);
+    // merge, QKV head split, patch merge) lowers to a purely strided
+    // loop nest: no table loop, no per-element index math.
+    const auto g = models::buildModel("Swin", 1);
+    EXPECT_GT(stage3Stats(g, 4).substitutesMaterialized, 0);
+    EXPECT_EQ(tableLoopReadMaps(
+                  core::compileStage(g, device::adreno740(), 3)),
+              0);
 }
 
 TEST(CpuBackendStats, ZooTransformersGatherWithoutInterpreter)
@@ -252,26 +279,102 @@ TEST(CpuBackendStats, ZooTransformersGatherWithoutInterpreter)
     for (const std::string &name : models::evaluationModels()) {
         if (models::modelInfo(name).attention == "N/A")
             continue;
-        const auto stats = stage3Stats(models::buildTinyVariant(name, 1), 1);
-        EXPECT_GT(stats.substitutesMaterialized, 0) << name;
-        EXPECT_EQ(stats.gathersInterpreted, 0) << name;
+        const auto g = models::buildTinyVariant(name, 1);
+        EXPECT_GT(stage3Stats(g, 1).substitutesMaterialized, 0) << name;
+        EXPECT_EQ(tableLoopReadMaps(
+                      core::compileStage(g, device::adreno740(), 3)),
+                  0)
+            << name;
     }
 }
 
-TEST(CpuBackendStats, LookupGathersAreCountedAsInterpreted)
+/**
+ * A BiFormer-style region routing block: regions of `rt` tokens, a
+ * constant top-k region Gather on axis 1, then the routed keys'
+ * projection.  The tiny zoo variants map BiFormer to Swin, so this is
+ * the small graph that runs a routing map.
+ */
+constexpr std::int64_t kRegions = 9, kTopK = 3;
+
+ir::Graph
+routingGraph()
 {
-    // The coverage graph's constant-index Gather is a Lookup map: it
-    // runs on the per-element interpreter, at every stage.
+    const std::int64_t rt = 8, dim = 16;
+    ir::GraphBuilder b;
+    auto x = b.input("x", ir::Shape({1, kRegions * rt, dim}));
+    auto t = b.matmul(x, b.constant("w_in", ir::Shape({dim, dim})));
+    auto regions = b.reshape(t, {1, kRegions, rt, dim});
+    std::vector<std::int64_t> sel;
+    for (std::int64_t r = 0; r < kRegions; ++r)
+        for (std::int64_t j = 0; j < kTopK; ++j)
+            sel.push_back((r + j * 4) % kRegions);
+    auto idx = b.constantData("route_idx", ir::Shape({kRegions * kTopK}),
+                              sel);
+    auto routed = b.gather(regions, idx, 1);
+    routed = b.reshape(routed, {kRegions, kTopK * rt, dim});
+    b.markOutput(
+        b.matmul(routed, b.constant("w_k", ir::Shape({dim, dim}))));
+    return b.finish();
+}
+
+TEST(CpuBackendStats, RoutingBlockGathersThroughOneTableLoop)
+{
+    const auto dev = device::adreno740();
+    const ir::Graph g = routingGraph();
+    exec::Executor ex(kSeed);
     for (int stage : {0, 3}) {
-        auto plan = core::compileStage(opCoverageGraph(1),
-                                       device::adreno740(), stage);
-        exec::Executor ex(kSeed);
-        auto inputs = exec::makeSeededInputs(plan.graph, ex);
-        exec::CpuBackendStats stats;
-        exec::CpuBackendOptions o;
-        o.seed = kSeed;
-        exec::CpuBackend(o).run(plan, inputs, &stats);
-        EXPECT_GE(stats.gathersInterpreted, 1) << "stage " << stage;
+        const auto plan = core::compileStage(g, dev, stage);
+        const auto inputs = exec::makeSeededInputs(plan.graph, ex);
+        const auto ref = ex.runOutputs(plan.graph, inputs);
+        std::vector<std::vector<exec::Tensor>> runs;
+        for (int threads : {1, 2, 4}) {
+            exec::CpuBackendOptions o;
+            o.threads = threads;
+            o.seed = kSeed;
+            runs.push_back(exec::CpuBackend(o).run(plan, inputs));
+            EXPECT_LE(exec::maxRelDiff(ref, runs.back()), kTolerance)
+                << "stage " << stage << " threads " << threads;
+            ASSERT_EQ(runs.back().size(), 1u);
+            EXPECT_EQ(0, std::memcmp(runs[0][0].data(),
+                                     runs.back()[0].data(),
+                                     static_cast<std::size_t>(
+                                         runs[0][0].numElements()) *
+                                         sizeof(float)))
+                << "stage " << stage << " threads " << threads;
+        }
+        if (stage != 3)
+            continue;
+        // The eliminated reshape -> Gather -> reshape chain is one
+        // Lookup read map; its copy is one table loop over (region,
+        // top-k) above strided token rows.
+        int routingMaps = 0;
+        for (const runtime::Kernel &k : plan.kernels) {
+            for (const runtime::KernelInput &in : k.inputs) {
+                if (!in.readMap ||
+                    !hasTableLoop(index::lowerToLoopNest(*in.readMap)))
+                    continue;
+                ++routingMaps;
+                ir::Layout srcL = ir::Layout::rowMajor(
+                    plan.graph.value(in.source).shape.rank());
+                for (const runtime::Kernel &p : plan.kernels)
+                    if (p.output == in.source &&
+                        p.copyIndex == in.sourceCopy)
+                        srcL = p.outLayout;
+                const exec::StridedCopy cp = exec::planStridedCopy(
+                    *in.readMap, srcL, plan.graph.value(in.source).shape,
+                    ir::Layout::rowMajor(
+                        in.readMap->outputShape().rank()));
+                std::vector<std::int64_t> tables;
+                for (const exec::CopyLoop &l : cp.loops)
+                    if (!l.srcTable.empty())
+                        tables.push_back(l.extent);
+                EXPECT_EQ(tables,
+                          std::vector<std::int64_t>{kRegions * kTopK})
+                    << in.readMap->toString() << " from "
+                    << srcL.toString();
+            }
+        }
+        EXPECT_EQ(routingMaps, 1);
     }
 }
 

@@ -9,6 +9,7 @@
 #include "index/index_map.h"
 #include "index/loop_nest.h"
 #include "ir/graph.h"
+#include <algorithm>
 #include <functional>
 
 #include "support/rng.h"
@@ -120,58 +121,6 @@ TEST(Expr, SimplifyIsValuePreserving_Random)
                 rng.uniformInt(0, extents[2] - 1)};
             ASSERT_EQ(evalExpr(e, vars), evalExpr(s, vars))
                 << exprToString(e) << " vs " << exprToString(s);
-        }
-    }
-}
-
-TEST(Expr, CompiledEvalMatchesRecursiveEval_Random)
-{
-    // CompiledExprs (the backend's per-element evaluator) must agree
-    // with evalExpr on random trees, including Lookup indirection.
-    smartmem::Rng rng(7117);
-    auto table = std::make_shared<const std::vector<std::int64_t>>(
-        std::vector<std::int64_t>{2, 0, 1, 3, 2, 0, 1, 3, 0, 2, 1, 0});
-    for (int trial = 0; trial < 100; ++trial) {
-        std::vector<std::int64_t> extents = {
-            rng.uniformInt(1, 10), rng.uniformInt(1, 10),
-            rng.uniformInt(1, 10)};
-        std::function<Expr(int)> gen = [&](int depth) -> Expr {
-            if (depth == 0 || rng.chance(0.3)) {
-                if (rng.chance(0.5))
-                    return makeVar(static_cast<int>(rng.pickIndex(3)));
-                return makeConst(rng.uniformInt(0, 9));
-            }
-            switch (rng.pickIndex(5)) {
-              case 0:
-                return makeAdd(gen(depth - 1), gen(depth - 1));
-              case 1:
-                return makeMul(gen(depth - 1),
-                               makeConst(rng.uniformInt(1, 9)));
-              case 2:
-                return makeDiv(gen(depth - 1), rng.uniformInt(1, 9));
-              case 3:
-                // Bound the index into the 12-entry table.
-                return makeLookup(table,
-                                  makeMod(gen(depth - 1), 12));
-              default:
-                return makeMod(gen(depth - 1), rng.uniformInt(1, 9));
-            }
-        };
-        std::vector<Expr> exprs = {gen(4), gen(4), gen(4)};
-        auto compiled = CompiledExprs::compile(exprs);
-        ASSERT_EQ(compiled.count(), 3);
-        std::vector<std::int64_t> stack(compiled.stackDepth());
-        for (int pt = 0; pt < 20; ++pt) {
-            std::vector<std::int64_t> vars = {
-                rng.uniformInt(0, extents[0] - 1),
-                rng.uniformInt(0, extents[1] - 1),
-                rng.uniformInt(0, extents[2] - 1)};
-            for (int i = 0; i < 3; ++i) {
-                ASSERT_EQ(compiled.eval(i, vars, stack),
-                          evalExpr(exprs[static_cast<std::size_t>(i)],
-                                   vars))
-                    << exprToString(exprs[static_cast<std::size_t>(i)]);
-            }
         }
     }
 }
@@ -337,27 +286,85 @@ TEST(IndexMap, IdentityDetection)
 // LoopNest: lowering composed maps to mixed-radix digit loops.
 // ---------------------------------------------------------------
 
+/** Expression values at every point of `nest`, in loop order. */
+std::vector<std::vector<std::int64_t>>
+nestValues(const LoopNest &nest)
+{
+    const std::size_t n = nest.base.size();
+    std::vector<std::vector<std::int64_t>> out;
+    std::vector<std::int64_t> idx(nest.loops.size(), 0);
+    while (true) {
+        std::vector<std::int64_t> v = nest.base;
+        for (std::size_t l = 0; l < nest.loops.size(); ++l) {
+            const LoopNest::Loop &loop = nest.loops[l];
+            const auto j = static_cast<std::size_t>(idx[l]);
+            for (std::size_t e = 0; e < n; ++e)
+                v[e] += loop.isTable() ? loop.table[j * n + e]
+                                       : idx[l] * loop.coef[e];
+        }
+        out.push_back(std::move(v));
+        std::size_t l = nest.loops.size();
+        while (l-- > 0) {
+            if (++idx[l] < nest.loops[l].extent)
+                break;
+            idx[l] = 0;
+        }
+        if (l == static_cast<std::size_t>(-1))
+            return out;
+    }
+}
+
 /** Walk `nest` in loop order and check, point by point, that it
  *  visits the map's output in row-major order with apply()'s input
  *  coordinates. */
 void
 expectNestMatchesApply(const LoopNest &nest, const IndexMap &m)
 {
-    const std::int64_t total = m.outputShape().numElements();
-    std::vector<std::int64_t> idx(nest.loops.size(), 0);
-    for (std::int64_t i = 0; i < total; ++i) {
-        std::vector<std::int64_t> in = nest.base;
-        for (std::size_t l = 0; l < nest.loops.size(); ++l)
-            for (std::size_t d = 0; d < in.size(); ++d)
-                in[d] += nest.loops[l].coef[d] * idx[l];
-        ASSERT_EQ(in, m.apply(ir::delinearize(i, m.outputShape())))
+    const auto values = nestValues(nest);
+    ASSERT_EQ(static_cast<std::int64_t>(values.size()),
+              m.outputShape().numElements());
+    for (std::size_t i = 0; i < values.size(); ++i)
+        ASSERT_EQ(values[i],
+                  m.apply(ir::delinearize(static_cast<std::int64_t>(i),
+                                          m.outputShape())))
             << m.toString() << " at " << i;
-        for (std::size_t l = nest.loops.size(); l-- > 0;) {
-            if (++idx[l] < nest.loops[l].extent)
-                break;
-            idx[l] = 0;
-        }
+}
+
+/** Lower m's coordinates together with the output variables -- table
+ *  loops may reorder the visit -- and check that every output point
+ *  is visited once with apply()'s input coordinates.  Returns the
+ *  nest. */
+LoopNest
+expectLowersToApply(const IndexMap &m)
+{
+    std::vector<Expr> exprs = m.exprs();
+    const std::size_t in = exprs.size();
+    const Shape &os = m.outputShape();
+    for (int d = 0; d < os.rank(); ++d)
+        exprs.push_back(makeVar(d));
+    LoopNest nest = lowerToLoopNest(exprs, os);
+    std::vector<bool> seen(static_cast<std::size_t>(os.numElements()));
+    for (const auto &v : nestValues(nest)) {
+        const std::vector<std::int64_t> out(v.begin() + in, v.end());
+        const std::vector<std::int64_t> coords(v.begin(), v.begin() + in);
+        EXPECT_EQ(coords, m.apply(out)) << m.toString();
+        const auto i = static_cast<std::size_t>(ir::linearize(out, os));
+        EXPECT_FALSE(seen[i]) << m.toString() << " visits " << i
+                              << " twice";
+        seen[i] = true;
     }
+    EXPECT_EQ(std::count(seen.begin(), seen.end(), true),
+              os.numElements())
+        << m.toString();
+    return nest;
+}
+
+std::size_t
+tableLoops(const LoopNest &nest)
+{
+    return static_cast<std::size_t>(
+        std::count_if(nest.loops.begin(), nest.loops.end(),
+                      [](const LoopNest::Loop &l) { return l.isTable(); }));
 }
 
 TEST(LoopNest, SwinWindowSplitsIntoMixedRadixDigits)
@@ -366,13 +373,13 @@ TEST(LoopNest, SwinWindowSplitsIntoMixedRadixDigits)
     IndexMap m = IndexMap::parse(
         "[1, 3136, 96] -> [64, 49, 96] : [((((v0*8) + (v1 / 392))*8) + "
         "((v1 / 7) % 8)), ((((v1 / 56) % 7)*7) + (v1 % 7)), v2]");
-    auto nest = lowerToLoopNest(m);
-    ASSERT_TRUE(nest.has_value());
+    const LoopNest nest = lowerToLoopNest(m);
     std::vector<std::int64_t> extents;
-    for (const auto &l : nest->loops)
+    for (const auto &l : nest.loops)
         extents.push_back(l.extent);
     EXPECT_EQ(extents, (std::vector<std::int64_t>{8, 7, 8, 7, 96}));
-    expectNestMatchesApply(*nest, m);
+    EXPECT_EQ(tableLoops(nest), 0u);
+    expectNestMatchesApply(nest, m);
 }
 
 TEST(LoopNest, PlanShapedMapsLowerExactly)
@@ -390,9 +397,9 @@ TEST(LoopNest, PlanShapedMapsLowerExactly)
           "[64, 49, 96] -> [1, 3136, 96] : [0, (((((((v0 / 8)*7) + "
           "(v1 / 7))*8) + (v0 % 8))*7) + (v1 % 7)), v2]"}) {
         IndexMap m = IndexMap::parse(text);
-        auto nest = lowerToLoopNest(m);
-        ASSERT_TRUE(nest.has_value()) << text;
-        expectNestMatchesApply(*nest, m);
+        const LoopNest nest = lowerToLoopNest(m);
+        EXPECT_EQ(tableLoops(nest), 0u) << text;
+        expectNestMatchesApply(nest, m);
     }
 }
 
@@ -412,38 +419,57 @@ TEST(LoopNest, ComposedReshapeTransposeChainsLower)
     };
     IndexMap m = mapOf(y).composedWith(mapOf(t)).composedWith(mapOf(r));
     for (const IndexMap &variant : {m, m.simplified()}) {
-        auto nest = lowerToLoopNest(variant);
-        ASSERT_TRUE(nest.has_value()) << variant.toString();
-        expectNestMatchesApply(*nest, variant);
+        const LoopNest nest = lowerToLoopNest(variant);
+        EXPECT_EQ(tableLoops(nest), 0u) << variant.toString();
+        expectNestMatchesApply(nest, variant);
     }
 }
 
-TEST(LoopNest, RejectsLookupAndNonNestingDivisors)
+TEST(LoopNest, LookupAndNonNestingDivisorsLowerToTableLoops)
 {
-    EXPECT_FALSE(lowerToLoopNest(IndexMap::parse(
-                     "[4] -> [8] : [lookup{3,1,2,0}[v0]]"))
-                     .has_value());
-    EXPECT_FALSE(lowerToLoopNest(IndexMap::parse(
-                     "[12] -> [2, 4] : [(v0 / 6), (v0 % 4)]"))
-                     .has_value());
-    EXPECT_FALSE(lowerToLoopNest(IndexMap::parse(
-                     "[12] -> [4, 2] : [(v0 % 4), (v0 / 6)]"))
-                     .has_value());
-    // (v + 2) % 4 wraps inside a digit: not affine in any split.
-    EXPECT_FALSE(lowerToLoopNest(IndexMap::parse(
-                     "[8] -> [4] : [((v0 + 2) % 4)]"))
-                     .has_value());
+    // Each map has a subterm that no nesting digit split makes affine:
+    // its digits collapse into one table loop of `entries`.
+    const struct
+    {
+        const char *map;
+        std::int64_t entries;
+    } cases[] = {
+        {"[4] -> [8] : [lookup{3,1,2,0}[v0]]", 4},
+        {"[12] -> [2, 4] : [(v0 / 6), (v0 % 4)]", 12},
+        {"[12] -> [4, 2] : [(v0 % 4), (v0 / 6)]", 12},
+        // (v + 2) % 4 wraps inside the low digit of the split at 4.
+        {"[8] -> [4] : [((v0 + 2) % 4)]", 4},
+        // 12 * L + 4 * v1 does not divide by 8 term by term: the
+        // opaque part's multipliers (8 and 4) share only 4.
+        {"[2, 2] -> [3] : [((((lookup{0,1}[v0]*8) + "
+         "(lookup{0,1}[v0]*4)) + (v1*4)) / 8)]",
+         4},
+        // The lookup reads v0 and v1's top digit only; v1 % 8 and v2
+        // stay affine loops.
+        {"[3, 16, 5] -> [6, 8, 5] : [lookup{5,0,3,1,4,2}[((v0*2) + "
+         "(v1 / 8))], (v1 % 8), v2]",
+         6},
+    };
+    for (const auto &c : cases) {
+        const IndexMap m = IndexMap::parse(c.map);
+        const LoopNest nest = expectLowersToApply(m);
+        ASSERT_EQ(tableLoops(nest), 1u) << c.map;
+        for (const LoopNest::Loop &l : nest.loops) {
+            if (l.isTable()) {
+                EXPECT_EQ(l.extent, c.entries) << c.map;
+            }
+        }
+    }
 }
 
 TEST(LoopNest, IdentityIsOneLoopPerNonUnitDim)
 {
     IndexMap m = IndexMap::identity(Shape({3, 1, 5}));
-    auto nest = lowerToLoopNest(m);
-    ASSERT_TRUE(nest.has_value());
-    ASSERT_EQ(nest->loops.size(), 2u);
-    EXPECT_EQ(nest->loops[0].extent, 3);
-    EXPECT_EQ(nest->loops[1].extent, 5);
-    expectNestMatchesApply(*nest, m);
+    const LoopNest nest = lowerToLoopNest(m);
+    ASSERT_EQ(nest.loops.size(), 2u);
+    EXPECT_EQ(nest.loops[0].extent, 3);
+    EXPECT_EQ(nest.loops[1].extent, 5);
+    expectNestMatchesApply(nest, m);
 }
 
 } // namespace

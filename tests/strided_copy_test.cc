@@ -9,13 +9,15 @@
  * physical layout and compared element for element with
  * IndexMap::apply plus ir::physicalOffset.  Hand-written cases cover
  * ragged and narrow vec4 packing, slice offsets, size-1 dims and the
- * interpreter fallback (Lookup maps, divisor chains that do not nest).
- * Outputs must be byte-identical at 1, 2 and 4 threads.
+ * table loops of non-affine maps (Lookup maps, divisor chains that do
+ * not nest), and a property test runs random expression trees as
+ * maps.  Outputs must be byte-identical at 1, 2 and 4 threads.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -64,37 +66,32 @@ referenceGather(const IndexMap &map, const std::vector<float> &src,
     return out;
 }
 
-bool
-hasLookup(const index::Expr &e)
+std::size_t
+tableLoops(const StridedCopy &cp)
 {
-    if (e->kind == index::ExprKind::Lookup)
-        return true;
-    return (e->lhs && hasLookup(e->lhs)) || (e->rhs && hasLookup(e->rhs));
+    return static_cast<std::size_t>(std::count_if(
+        cp.loops.begin(), cp.loops.end(), [](const CopyLoop &l) {
+            return !l.srcTable.empty() || !l.dstTable.empty();
+        }));
 }
 
 /**
  * Gather through the engine at 1, 2 and 4 threads: every result must
  * match the reference and the three must be byte-identical.  Returns
- * whether the map lowered (materializeMapped's report).
+ * the planned copy.
  */
-bool
+StridedCopy
 checkGather(const IndexMap &map, const Layout &srcL,
             const Shape &srcShape, const std::string &what)
 {
     const auto src = randomBuffer(srcL.storageElements(srcShape), 7);
     const auto want = referenceGather(map, src, srcL, srcShape);
     std::vector<float> first;
-    bool lowered = false;
     for (int threads : {1, 2, 4}) {
         ParallelRunner par(threads);
         std::vector<float> got(want.size(), -7.0f);
-        lowered = materializeMapped(map, src.data(), srcL, srcShape,
-                                    got.data(), par);
-        EXPECT_EQ(lowered, planStridedCopy(map, srcL, srcShape,
-                                           Layout::rowMajor(
-                                               map.outputShape().rank()))
-                               .has_value())
-            << what;
+        materializeMapped(map, src.data(), srcL, srcShape, got.data(),
+                          par);
         EXPECT_EQ(got, want) << what << " threads " << threads;
         if (first.empty())
             first = got;
@@ -102,7 +99,8 @@ checkGather(const IndexMap &map, const Layout &srcL,
                                  got.size() * sizeof(float)))
             << what << " differs at " << threads << " threads";
     }
-    return lowered;
+    return planStridedCopy(map, srcL, srcShape,
+                           Layout::rowMajor(map.outputShape().rank()));
 }
 
 /**
@@ -175,15 +173,14 @@ TEST_P(ZooCopies, EveryPlanCopyMatchesTheReference)
             for (const runtime::KernelInput &in : k.inputs) {
                 if (in.readMap) {
                     const Shape &ss = plan.graph.value(in.source).shape;
-                    const bool lowered =
-                        checkGather(*in.readMap, storedLayout(plan, in),
-                                    ss, where + " " + k.name);
-                    bool lookup = false;
-                    for (const auto &e : in.readMap->exprs())
-                        lookup = lookup || hasLookup(e);
-                    EXPECT_TRUE(lowered || lookup)
-                        << where << " " << k.name << " "
-                        << in.readMap->toString();
+                    checkGather(*in.readMap, storedLayout(plan, in), ss,
+                                where + " " + k.name);
+                    // No tiny-variant map has a non-affine subterm.
+                    for (const auto &l :
+                         index::lowerToLoopNest(*in.readMap).loops)
+                        EXPECT_FALSE(l.isTable())
+                            << where << " " << k.name << " "
+                            << in.readMap->toString();
                 }
                 if (k.isLayoutCopy && k.fusedNodes.empty()) {
                     checkRoundTrip(plan.graph.value(k.output).shape,
@@ -227,7 +224,10 @@ TEST(StridedCopy, SwinWindowPartitionFromTextureIsParallelAndExact)
         "[64, 49, 96] -> [1, 3136, 96] : [0, (((((((v0 / 8)*7) + "
         "(v1 / 7))*8) + (v0 % 8))*7) + (v1 % 7)), v2]");
     for (const char *l : {"tex{y:0 x:1 2,0,1|pack:2}", "buf{0,1,2}"})
-        EXPECT_TRUE(checkGather(m, Layout::parse(l), m.inputShape(), l));
+        EXPECT_EQ(tableLoops(checkGather(m, Layout::parse(l),
+                                         m.inputShape(), l)),
+                  0u)
+            << l;
 }
 
 TEST(StridedCopy, RaggedPackedExtents)
@@ -243,8 +243,8 @@ TEST(StridedCopy, RaggedPackedExtents)
         checkRoundTrip(s, rm, l, "ragged " + l.toString());
         checkRoundTrip(s, l, Layout::packed(3, 2),
                        "ragged pair " + l.toString());
-        EXPECT_TRUE(checkGather(IndexMap::identity(s), l, s,
-                                "ragged gather " + l.toString()));
+        checkGather(IndexMap::identity(s), l, s,
+                    "ragged gather " + l.toString());
     }
 }
 
@@ -254,8 +254,8 @@ TEST(StridedCopy, PackedExtentWithinOneLaneGroup)
     for (const Layout &l : {Layout::packed(3, 1), Layout::packed(3, 0),
                             Layout::texture(3, 2, 0, 1)}) {
         checkRoundTrip(s, Layout::rowMajor(3), l, "narrow " + l.toString());
-        EXPECT_TRUE(checkGather(IndexMap::identity(s), l, s,
-                                "narrow gather " + l.toString()));
+        checkGather(IndexMap::identity(s), l, s,
+                    "narrow gather " + l.toString());
     }
 }
 
@@ -271,8 +271,7 @@ TEST(StridedCopy, SliceOffsetsThroughPackedSource)
     for (const Layout &l : {Layout::rowMajor(3), Layout::packed(3, 1),
                             Layout::packed(3, 2),
                             Layout::texture(3, 0, 2, 1)})
-        EXPECT_TRUE(checkGather(m, l, m.inputShape(),
-                                "slice from " + l.toString()));
+        checkGather(m, l, m.inputShape(), "slice from " + l.toString());
 }
 
 TEST(StridedCopy, SizeOneDims)
@@ -285,11 +284,13 @@ TEST(StridedCopy, SizeOneDims)
         checkRoundTrip(s, Layout::rowMajor(4), l, "size-1 " + l.toString());
     const IndexMap m =
         IndexMap::parse("[5, 8, 1] -> [1, 5, 1, 8] : [0, v0, 0, v1]");
-    EXPECT_TRUE(checkGather(m, Layout::packed(4, 3), s, "size-1 gather"));
+    checkGather(m, Layout::packed(4, 3), s, "size-1 gather");
 }
 
-TEST(StridedCopy, LookupMapFallsBackAndMatches)
+TEST(StridedCopy, LookupMapIsOneTableLoop)
 {
+    // The Gather's index column becomes one table loop of 4 entries
+    // over the contiguous (or lane-split) row.
     GraphBuilder b;
     auto x = b.input("x", Shape({10, 12}));
     auto idx = b.constantData("idx", Shape({4}), {9, 0, 2, 2});
@@ -297,20 +298,105 @@ TEST(StridedCopy, LookupMapFallsBackAndMatches)
     b.markOutput(y);
     const auto g = b.finish();
     const IndexMap m = IndexMap::fromNode(g, g.node(g.value(y).producer));
-    EXPECT_FALSE(index::lowerToLoopNest(m).has_value());
-    for (const Layout &l : {Layout::rowMajor(2), Layout::packed(2, 1)})
-        EXPECT_FALSE(checkGather(m, l, m.inputShape(),
-                                 "lookup from " + l.toString()));
+    for (const Layout &l : {Layout::rowMajor(2), Layout::packed(2, 1)}) {
+        const StridedCopy cp =
+            checkGather(m, l, m.inputShape(), "lookup from " + l.toString());
+        ASSERT_EQ(tableLoops(cp), 1u) << l.toString();
+        EXPECT_EQ(cp.loops.front().extent, 4) << l.toString();
+        EXPECT_EQ(cp.loops.front().srcTable.size(), 4u) << l.toString();
+    }
 }
 
-TEST(StridedCopy, NonNestingDivisorsFallBackAndMatch)
+TEST(StridedCopy, NonNestingDivisorsLowerToTables)
 {
-    // Cuts at 6 and 4 of one variable do not nest.
+    // Cuts at 6 and 4 of one variable do not nest: v0's two digits
+    // collapse into one table loop.
     const IndexMap m =
         IndexMap::parse("[12] -> [2, 4] : [(v0 / 6), (v0 % 4)]");
-    EXPECT_FALSE(index::lowerToLoopNest(m).has_value());
-    EXPECT_FALSE(checkGather(m, Layout::rowMajor(2), m.inputShape(),
-                             "v/6 with v%4"));
+    const StridedCopy cp = checkGather(m, Layout::rowMajor(2),
+                                       m.inputShape(), "v/6 with v%4");
+    ASSERT_EQ(cp.loops.size(), 1u);
+    EXPECT_EQ(cp.loops[0].srcTable.size(), 12u);
+}
+
+TEST(StridedCopy, GatherOverFlatTensorTablesEveryElement)
+{
+    // The worst case: the lookup reads every output digit, so the
+    // table holds one entry per output element.
+    GraphBuilder b;
+    auto x = b.input("x", Shape({6, 8}));
+    auto flat = b.reshape(x, {48});
+    auto idx = b.constantData(
+        "idx", Shape({20}), {47, 3, 3, 0, 12, 40, 7, 8, 9, 30,
+                             1, 46, 5, 5, 22, 17, 38, 2, 44, 11});
+    auto y = b.gather(flat, idx, 0);
+    b.markOutput(y);
+    const auto g = b.finish();
+    const IndexMap m = IndexMap::fromNode(g, g.node(g.value(y).producer));
+    for (const Layout &l : {Layout::rowMajor(1), Layout::packed(1, 0)}) {
+        const StridedCopy cp =
+            checkGather(m, l, m.inputShape(), "flat " + l.toString());
+        ASSERT_EQ(cp.loops.size(), 1u);
+        EXPECT_EQ(cp.loops[0].srcTable.size(), 20u);
+    }
+}
+
+TEST(StridedCopy, RandomExprMapsMatchApply)
+{
+    // Random trees (Lookup, Div, Mod and divisors that need not nest)
+    // as map coordinates, read from row-major, vec4-packed and texture
+    // sources: every plan matches IndexMap::apply at 1, 2 and 4
+    // threads, byte for byte.
+    Rng rng(7117);
+    const std::string table = "{2,0,1,3,2,0,1,3,0,2,1,0}";
+    for (int trial = 0; trial < 100; ++trial) {
+        std::vector<std::int64_t> extents = {
+            rng.uniformInt(1, 10), rng.uniformInt(1, 10),
+            rng.uniformInt(1, 10)};
+        std::function<std::string(int)> gen = [&](int depth) {
+            if (depth == 0 || rng.chance(0.3)) {
+                if (rng.chance(0.5))
+                    return "v" + std::to_string(rng.pickIndex(3));
+                return std::to_string(rng.uniformInt(0, 9));
+            }
+            switch (rng.pickIndex(5)) {
+              case 0:
+                return "(" + gen(depth - 1) + " + " + gen(depth - 1) + ")";
+              case 1:
+                return "(" + gen(depth - 1) + "*" +
+                       std::to_string(rng.uniformInt(1, 9)) + ")";
+              case 2:
+                return "(" + gen(depth - 1) + " / " +
+                       std::to_string(rng.uniformInt(1, 9)) + ")";
+              case 3:
+                // Bound the index into the 12-entry table.
+                return "lookup" + table + "[(" + gen(depth - 1) +
+                       " % 12)]";
+              default:
+                return "(" + gen(depth - 1) + " % " +
+                       std::to_string(rng.uniformInt(1, 9)) + ")";
+            }
+        };
+        std::vector<index::Expr> exprs;
+        std::string coords;
+        for (int i = 0; i < 3; ++i) {
+            const std::string e = gen(4);
+            exprs.push_back(index::parseExpr(e));
+            coords += (i ? ", " : "") + e;
+        }
+        std::vector<std::int64_t> in;
+        for (const auto &e : exprs)
+            in.push_back(index::exprRange(e, extents).hi + 1);
+        const Shape out(extents);
+        const IndexMap m = IndexMap::parse(
+            out.toString() + " -> " + Shape(in).toString() + " : [" +
+            coords + "]");
+        for (const Layout &l :
+             {Layout::rowMajor(3), Layout::packed(3, 2),
+              Layout::texture(3, 0, 1, 2)})
+            checkGather(m, l, m.inputShape(),
+                        m.toString() + " from " + l.toString());
+    }
 }
 
 TEST(StridedCopy, ContiguousRunsMergeIntoOneLoop)
@@ -320,11 +406,10 @@ TEST(StridedCopy, ContiguousRunsMergeIntoOneLoop)
         "[4, 6, 10] -> [24, 10] : [((v0*6) + v1), v2]");
     const auto cp = planStridedCopy(m, Layout::rowMajor(2), Shape({24, 10}),
                                     Layout::rowMajor(3));
-    ASSERT_TRUE(cp.has_value());
-    ASSERT_EQ(cp->loops.size(), 1u);
-    EXPECT_EQ(cp->loops[0].extent, 240);
-    EXPECT_EQ(cp->loops[0].srcStride, 1);
-    EXPECT_EQ(cp->loops[0].dstStride, 1);
+    ASSERT_EQ(cp.loops.size(), 1u);
+    EXPECT_EQ(cp.loops[0].extent, 240);
+    EXPECT_EQ(cp.loops[0].srcStride, 1);
+    EXPECT_EQ(cp.loops[0].dstStride, 1);
 }
 
 } // namespace

@@ -617,10 +617,8 @@ cmdRun(int argc, char **argv)
                         st.poolHighWaterBytes)).c_str());
     }
     if (st.kernelsExecuted > 0) {
-        std::printf("  gathers %d (%d interpreted), %d relayout kernels, "
-                    "%s relayouted\n",
-                    st.substitutesMaterialized, st.gathersInterpreted,
-                    st.relayoutKernels,
+        std::printf("  gathers %d, %d relayout kernels, %s relayouted\n",
+                    st.substitutesMaterialized, st.relayoutKernels,
                     formatBytes(static_cast<std::uint64_t>(
                         st.bytesRelayouted)).c_str());
         std::printf("  element-wise ops folded into epilogues %d, "
