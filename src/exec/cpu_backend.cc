@@ -1,12 +1,11 @@
 #include "exec/cpu_backend.h"
 
+#include <chrono>
 #include <cstring>
-#include <optional>
-#include <utility>
 
 #include "exec/executor.h"
 #include "exec/kernels_blocked.h"
-#include "exec/strided_copy.h"
+#include "exec/weight_store.h"
 #include "index/index_map.h"
 #include "runtime/memory_pool.h"
 #include "support/error.h"
@@ -123,18 +122,156 @@ struct StoredBuf
 };
 
 // -------------------------------------------------------------------
-// PlanRunner: one CpuBackend::run() invocation
+// prepare(): resident weights and planned copies
+// -------------------------------------------------------------------
+
+/** Every constant the runner reads: kernel input sources, fused node
+ *  operands (a transformation reads only its data operand; a
+ *  Gather's indices are baked into its map), and graph outputs. */
+std::vector<ValueId>
+constantsRead(const ExecutionPlan &plan)
+{
+    const ir::Graph &g = plan.graph;
+    std::vector<char> seen(g.values().size(), 0);
+    std::vector<ValueId> ids;
+    auto add = [&](ValueId v) {
+        if (!seen[v] && g.node(g.value(v).producer).kind ==
+                            OpKind::Constant) {
+            seen[v] = 1;
+            ids.push_back(v);
+        }
+    };
+    for (const Kernel &k : plan.kernels) {
+        for (const KernelInput &in : k.inputs)
+            add(in.source);
+        for (ir::NodeId nid : k.fusedNodes) {
+            const Node &node = g.node(nid);
+            if (index::IndexMap::isEliminable(node.kind))
+                add(node.inputs[0]);
+            else
+                for (ValueId v : node.inputs)
+                    add(v);
+        }
+    }
+    for (ValueId v : g.outputIds())
+        add(v);
+    return ids;
+}
+
+std::shared_ptr<const PreparedPlan>
+prepareOn(const ExecutionPlan &plan, std::uint64_t seed,
+          const ParallelRunner &par)
+{
+    const auto start = std::chrono::steady_clock::now();
+    const ir::Graph &g = plan.graph;
+    auto p = std::make_shared<PreparedPlan>();
+    p->plan = &plan;
+    p->seed = seed;
+
+    const std::vector<ValueId> ids = constantsRead(plan);
+    std::vector<ConstantRecipe> recipes;
+    recipes.reserve(ids.size());
+    for (ValueId v : ids) {
+        recipes.push_back(constantRecipe(g, v, seed));
+        p->weightBytes += recipes.back().bytes();
+    }
+    p->pins = WeightStore::global().acquire(recipes, par,
+                                            &p->weightsSynthesized);
+    p->weights.assign(g.values().size(), nullptr);
+    for (std::size_t i = 0; i < ids.size(); ++i)
+        p->weights[ids[i]] = p->pins[i].get();
+
+    p->lastUse = runtime::lastUses(plan);
+
+    // Every stored (value, copy) has a static layout: its producing
+    // kernel's, or row-major for model inputs and constants.
+    std::map<std::pair<ValueId, int>, const Layout *> produced;
+    for (const Kernel &k : plan.kernels)
+        produced[{k.output, k.copyIndex}] = &k.outLayout;
+    auto storedLayout = [&](ValueId v, int copy) {
+        auto it = produced.find({v, copy});
+        return it != produced.end()
+                   ? *it->second
+                   : Layout::rowMajor(g.value(v).shape.rank());
+    };
+    auto shapeOf = [&g](ValueId v) -> const Shape & {
+        return g.value(v).shape;
+    };
+
+    p->kernels.resize(plan.kernels.size());
+    for (std::size_t ki = 0; ki < plan.kernels.size(); ++ki) {
+        const Kernel &k = plan.kernels[ki];
+        PreparedPlan::KernelCopies &kc = p->kernels[ki];
+        const Shape &os = shapeOf(k.output);
+        if (k.fusedNodes.empty()) {
+            SM_REQUIRE(k.isLayoutCopy && k.inputs.size() == 1,
+                       "empty kernel must be a one-input layout copy: " +
+                           k.name);
+            const KernelInput &in = k.inputs[0];
+            kc.store = planRelayout(
+                os, storedLayout(in.source, in.sourceCopy), k.outLayout);
+            continue;
+        }
+        for (const KernelInput &in : k.inputs) {
+            std::optional<StridedCopy> &cp = kc.inputs.emplace_back();
+            if (in.substitute != in.source) {
+                // Eliminated chain: read the stored source through the
+                // composed map -- one pass for the whole chain.
+                SM_REQUIRE(in.readMap.has_value(),
+                           "substituted input without a read map in " +
+                               k.name);
+                cp = planStridedCopy(
+                    *in.readMap,
+                    in.internalSource
+                        ? Layout::rowMajor(shapeOf(in.source).rank())
+                        : storedLayout(in.source, in.sourceCopy),
+                    shapeOf(in.source),
+                    Layout::rowMajor(shapeOf(in.substitute).rank()));
+                continue;
+            }
+            const Layout src = storedLayout(in.source, in.sourceCopy);
+            if (!isRowMajorLayout(src)) // unpack into the compute view
+                cp = planRelayout(
+                    shapeOf(in.source), src,
+                    Layout::rowMajor(shapeOf(in.source).rank()));
+        }
+        kc.store = planRelayout(os, Layout::rowMajor(os.rank()),
+                                k.outLayout);
+        for (ir::NodeId nid : k.fusedNodes) {
+            const Node &node = g.node(nid);
+            if (!index::IndexMap::isEliminable(node.kind))
+                continue;
+            const Shape &xs = shapeOf(node.inputs[0]);
+            p->transforms.emplace(
+                nid, planStridedCopy(
+                         index::IndexMap::fromNode(g, node).simplified(),
+                         Layout::rowMajor(xs.rank()), xs,
+                         Layout::rowMajor(shapeOf(node.output).rank())));
+        }
+    }
+    for (ValueId v : g.outputIds())
+        p->outputs.push_back(planRelayout(
+            shapeOf(v), storedLayout(v, 0),
+            Layout::rowMajor(shapeOf(v).rank())));
+
+    p->prepareMs = std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
+    return p;
+}
+
+// -------------------------------------------------------------------
+// PlanRunner: one run of a prepared plan
 // -------------------------------------------------------------------
 
 class PlanRunner
 {
   public:
-    PlanRunner(const ExecutionPlan &plan,
+    PlanRunner(const PreparedPlan &prep,
                const std::map<ValueId, Tensor> &inputs,
-               const CpuBackendOptions &opts)
-        : plan_(plan), graph_(plan.graph), inputs_(inputs),
-          par_(opts.threads), simd_(activeSimdLevel()),
-          constSynth_(opts.seed), lastUse_(runtime::lastUses(plan))
+               const CpuBackendOptions &opts, const ParallelRunner &par)
+        : plan_(*prep.plan), graph_(plan_.graph), prep_(prep),
+          inputs_(inputs), par_(par), simd_(activeSimdLevel())
     {
         if (opts.gemmRowTile > 0)
             tiles_.rowTile = opts.gemmRowTile;
@@ -155,9 +292,9 @@ class PlanRunner
         return pool_.allocateFloats(elems);
     }
 
-    /** Row-major constant contents, synthesized once and resident for
-     *  the whole run (the paper's weights stay in memory). */
-    const float *constantData(ValueId v);
+    /** Row-major constant contents, resident in the weight store
+     *  (the paper's weights stay in memory). */
+    const float *constantData(ValueId v) const;
 
     /** The stored buffer for (value, copy), falling back to model
      *  inputs and constants for copy 0. */
@@ -171,7 +308,7 @@ class PlanRunner
      *  consumption, or nullopt when the value must go through
      *  resolveLocal (already materialized locally, substituted through
      *  a read map, or stored row-major anyway). */
-    std::optional<NativeView> tryStoredView(ValueId v);
+    std::optional<NativeView> tryStoredView(const Kernel &k, ValueId v);
 
     /** Stride view of the kernel's output layout when the anchor op
      *  may store into it directly: single-node kernel whose node
@@ -210,33 +347,30 @@ class PlanRunner
 
     const ExecutionPlan &plan_;
     const ir::Graph &graph_;
+    const PreparedPlan &prep_;
     const std::map<ValueId, Tensor> &inputs_;
-    ParallelRunner par_;
+    const ParallelRunner &par_;
     SimdLevel simd_;
     TileParams tiles_;
-    Executor constSynth_;
     runtime::BufferPool pool_;
     CpuBackendStats stats_;
 
-    std::map<std::pair<ValueId, int>, std::size_t> lastUse_;
     std::map<std::pair<ValueId, int>, StoredBuf> env_;
-    std::map<ValueId, Tensor> constants_;
 
     // Per-kernel state.
+    const PreparedPlan::KernelCopies *copies_ = nullptr;
     std::map<ValueId, LocalBuf> locals_;
-    std::map<ValueId, const KernelInput *> kinBySubstitute_;
+    std::map<ValueId, std::size_t> inputBySubstitute_; // index in k.inputs
     std::vector<float *> expanded_; // broadcast operands of one chain
 };
 
 const float *
-PlanRunner::constantData(ValueId v)
+PlanRunner::constantData(ValueId v) const
 {
-    auto it = constants_.find(v);
-    if (it == constants_.end())
-        it = constants_
-                 .emplace(v, constSynth_.synthesizeConstant(graph_, v))
-                 .first;
-    return it->second.data();
+    const float *w = prep_.weights[v];
+    SM_ASSERT(w != nullptr, "constant " + std::to_string(v) +
+                                " was not prepared");
+    return w;
 }
 
 StoredBuf
@@ -272,17 +406,15 @@ PlanRunner::resolveLocal(const Kernel &k, ValueId v)
     if (lit != locals_.end())
         return lit->second.data;
 
-    auto kit = kinBySubstitute_.find(v);
-    if (kit != kinBySubstitute_.end()) {
-        const KernelInput &in = *kit->second;
+    auto kit = inputBySubstitute_.find(v);
+    if (kit != inputBySubstitute_.end()) {
+        const KernelInput &in = k.inputs[kit->second];
+        const std::optional<StridedCopy> &copy =
+            copies_->inputs[kit->second];
         if (in.substitute != in.source) {
-            // Eliminated chain: read the stored source through the
-            // composed map -- one pass for the whole chain.
-            SM_ASSERT(in.readMap.has_value(),
-                      "substituted input without a read map");
+            // Eliminated chain: the prepared gather through the
+            // composed map.
             const float *src_data = nullptr;
-            Layout src_layout = Layout::rowMajor(
-                shapeOf(in.source).rank());
             if (in.internalSource) {
                 auto sit = locals_.find(in.source);
                 SM_ASSERT(sit != locals_.end(),
@@ -290,27 +422,23 @@ PlanRunner::resolveLocal(const Kernel &k, ValueId v)
                               k.name);
                 src_data = sit->second.data;
             } else {
-                StoredBuf s = resolveStored(in.source, in.sourceCopy);
-                src_data = s.data;
-                src_layout = s.layout;
+                src_data = resolveStored(in.source, in.sourceCopy).data;
             }
             float *dst = alloc(shapeOf(v).numElements());
-            materializeMapped(*in.readMap, src_data, src_layout,
-                              shapeOf(in.source), dst, par_);
+            runStridedCopy(*copy, src_data, dst, par_);
             ++stats_.substitutesMaterialized;
             locals_[v] = {dst, true};
             return dst;
         }
         StoredBuf s = resolveStored(in.source, in.sourceCopy);
-        if (isRowMajorLayout(s.layout)) {
+        if (!copy) { // stored row-major: read in place
             locals_[v] = {s.data, false};
             return s.data;
         }
         // Unpack the chosen physical layout into the compute view.
         const Shape &shape = shapeOf(v);
         float *dst = alloc(shape.numElements());
-        relayoutCopy(shape, s.data, s.layout, dst,
-                     Layout::rowMajor(shape.rank()), par_);
+        runStridedCopy(*copy, s.data, dst, par_);
         stats_.bytesRelayouted +=
             shape.numElements() *
             static_cast<std::int64_t>(sizeof(float));
@@ -332,14 +460,14 @@ PlanRunner::resolveLocal(const Kernel &k, ValueId v)
 }
 
 std::optional<NativeView>
-PlanRunner::tryStoredView(ValueId v)
+PlanRunner::tryStoredView(const Kernel &k, ValueId v)
 {
     if (locals_.count(v))
         return std::nullopt; // already materialized row-major
-    auto kit = kinBySubstitute_.find(v);
-    if (kit == kinBySubstitute_.end())
+    auto kit = inputBySubstitute_.find(v);
+    if (kit == inputBySubstitute_.end())
         return std::nullopt; // constant / implicit input (row-major)
-    const KernelInput &in = *kit->second;
+    const KernelInput &in = k.inputs[kit->second];
     if (in.substitute != in.source)
         return std::nullopt; // read-map chain: materialize instead
     StoredBuf s = resolveStored(in.source, in.sourceCopy);
@@ -361,13 +489,11 @@ PlanRunner::tryNativeStore(const Kernel &k, const Node &node)
 void
 PlanRunner::runRelayoutKernel(const Kernel &k)
 {
-    SM_ASSERT(k.inputs.size() == 1,
-              "relayout kernel with != 1 input: " + k.name);
     const KernelInput &in = k.inputs[0];
     StoredBuf src = resolveStored(in.source, in.sourceCopy);
     const Shape &shape = shapeOf(k.output);
     float *dst = alloc(k.outLayout.storageElements(shape));
-    relayoutCopy(shape, src.data, src.layout, dst, k.outLayout, par_);
+    runStridedCopy(copies_->store, src.data, dst, par_);
     stats_.bytesRelayouted +=
         shape.numElements() * static_cast<std::int64_t>(sizeof(float));
     ++stats_.relayoutKernels;
@@ -459,6 +585,15 @@ void
 PlanRunner::evalNodeBlocked(const Kernel &k, const Node &node)
 {
     const Shape &os = shapeOf(node.output);
+    if (index::IndexMap::isEliminable(node.kind)) {
+        // Surviving transformation: one pass through its index map
+        // (the same machinery eliminated chains use), planned once.
+        const float *x = resolveLocal(k, node.inputs[0]);
+        float *out = alloc(os.numElements());
+        runStridedCopy(prep_.transforms.at(node.id), x, out, par_);
+        locals_[node.output] = {out, true};
+        return;
+    }
     switch (node.kind) {
       case OpKind::Conv2d:
       case OpKind::GroupConv2d:
@@ -474,7 +609,7 @@ PlanRunner::evalNodeBlocked(const Kernel &k, const Node &node)
         PlaneLayout xl =
             PlaneLayout::rowMajor(xs.dim(1), xs.dim(2), xs.dim(3));
         const float *x = nullptr;
-        if (auto nv = tryStoredView(node.inputs[0]);
+        if (auto nv = tryStoredView(k, node.inputs[0]);
             nv && xs.rank() == 4 &&
             (nv->packedDim == -1 || nv->packedDim == 1)) {
             x = nv->data;
@@ -558,7 +693,7 @@ PlanRunner::evalNodeBlocked(const Kernel &k, const Node &node)
 
         std::vector<std::int64_t> aOff, bOff, cOff;
         MatView av, bv;
-        if (auto nv = tryStoredView(node.inputs[0]);
+        if (auto nv = tryStoredView(k, node.inputs[0]);
             nv && matrixDimsAffine(*nv, as.rank()) &&
             leadingProduct(as) == batch) {
             const auto r = static_cast<std::size_t>(as.rank());
@@ -574,7 +709,7 @@ PlanRunner::evalNodeBlocked(const Kernel &k, const Node &node)
             av.cs = 1;
             av.batchStride = m * kk;
         }
-        if (auto nv = tryStoredView(node.inputs[1]);
+        if (auto nv = tryStoredView(k, node.inputs[1]);
             nv && matrixDimsAffine(*nv, bs.rank()) &&
             (bs.rank() <= 2 || leadingProduct(bs) == batch)) {
             const auto r = static_cast<std::size_t>(bs.rank());
@@ -747,24 +882,6 @@ PlanRunner::evalNodeBlocked(const Kernel &k, const Node &node)
         locals_[node.output] = {out, true};
         return;
       }
-      case OpKind::Reshape:
-      case OpKind::Transpose:
-      case OpKind::DepthToSpace:
-      case OpKind::SpaceToDepth:
-      case OpKind::Slice:
-      case OpKind::Gather: {
-        // Surviving transformation: one pass through its index map
-        // (the same machinery eliminated chains use).
-        const float *x = resolveLocal(k, node.inputs[0]);
-        const Shape &xs = shapeOf(node.inputs[0]);
-        index::IndexMap map =
-            index::IndexMap::fromNode(graph_, node).simplified();
-        float *out = alloc(os.numElements());
-        materializeMapped(map, x, Layout::rowMajor(xs.rank()), xs, out,
-                          par_);
-        locals_[node.output] = {out, true};
-        return;
-      }
       case OpKind::Concat: {
         // Block copies per input along the concat axis.
         const int axis =
@@ -825,9 +942,9 @@ void
 PlanRunner::runComputeKernel(const Kernel &k)
 {
     locals_.clear();
-    kinBySubstitute_.clear();
-    for (const KernelInput &in : k.inputs)
-        kinBySubstitute_[in.substitute] = &in;
+    inputBySubstitute_.clear();
+    for (std::size_t i = 0; i < k.inputs.size(); ++i)
+        inputBySubstitute_[k.inputs[i].substitute] = i;
 
     std::size_t i = 0;
     while (i < k.fusedNodes.size()) {
@@ -907,8 +1024,7 @@ PlanRunner::publishOutput(const Kernel &k)
         return;
     }
     float *dst = alloc(k.outLayout.storageElements(shape));
-    relayoutCopy(shape, it->second.data, Layout::rowMajor(shape.rank()),
-                 dst, k.outLayout, par_);
+    runStridedCopy(copies_->store, it->second.data, dst, par_);
     if (!isRowMajorLayout(k.outLayout))
         stats_.bytesRelayouted +=
             shape.numElements() *
@@ -920,9 +1036,9 @@ void
 PlanRunner::releaseDead(std::size_t kernel_idx)
 {
     for (auto it = env_.begin(); it != env_.end();) {
-        auto lu = lastUse_.find(it->first);
+        auto lu = prep_.lastUse.find(it->first);
         const std::size_t last =
-            lu == lastUse_.end() ? kernel_idx : lu->second;
+            lu == prep_.lastUse.end() ? kernel_idx : lu->second;
         if (last <= kernel_idx) {
             if (it->second.owned)
                 pool_.release(const_cast<float *>(it->second.data));
@@ -938,9 +1054,8 @@ PlanRunner::run(CpuBackendStats *stats_out)
 {
     for (std::size_t i = 0; i < plan_.kernels.size(); ++i) {
         const Kernel &k = plan_.kernels[i];
+        copies_ = &prep_.kernels[i];
         if (k.fusedNodes.empty()) {
-            SM_ASSERT(k.isLayoutCopy,
-                      "empty kernel must be a layout copy: " + k.name);
             runRelayoutKernel(k);
         } else {
             runComputeKernel(k);
@@ -951,12 +1066,11 @@ PlanRunner::run(CpuBackendStats *stats_out)
 
     std::vector<Tensor> out;
     out.reserve(plan_.graph.outputIds().size());
-    for (ValueId id : plan_.graph.outputIds()) {
-        StoredBuf s = resolveStored(id, 0);
-        const Shape &shape = shapeOf(id);
-        Tensor t(shape);
-        relayoutCopy(shape, s.data, s.layout, t.data(),
-                     Layout::rowMajor(shape.rank()), par_);
+    for (std::size_t i = 0; i < plan_.graph.outputIds().size(); ++i) {
+        const ValueId id = plan_.graph.outputIds()[i];
+        Tensor t(shapeOf(id));
+        runStridedCopy(prep_.outputs[i], resolveStored(id, 0).data,
+                       t.data(), par_);
         out.push_back(std::move(t));
     }
 
@@ -966,6 +1080,9 @@ PlanRunner::run(CpuBackendStats *stats_out)
     stats_.tileRowTile = tiles_.rowTile;
     stats_.tileKBlock = tiles_.kBlock;
     stats_.threads = par_.threads();
+    stats_.prepareMs = prep_.prepareMs;
+    stats_.weightsSynthesized = prep_.weightsSynthesized;
+    stats_.weightBytesResident = prep_.weightBytes;
     if (stats_out)
         *stats_out = stats_;
     return out;
@@ -991,13 +1108,39 @@ CpuBackend::CpuBackend(CpuBackendOptions options)
 {
 }
 
+PreparedPlan::~PreparedPlan()
+{
+    WeightStore::global().release(pins);
+}
+
+std::shared_ptr<const PreparedPlan>
+CpuBackend::prepare(const ExecutionPlan &plan) const
+{
+    return prepareOn(plan, options_.seed, ParallelRunner(options_.threads));
+}
+
+std::vector<Tensor>
+CpuBackend::run(const PreparedPlan &prepared,
+                const std::map<ValueId, Tensor> &inputs,
+                CpuBackendStats *stats) const
+{
+    SM_REQUIRE(prepared.seed == options_.seed,
+               "plan prepared at seed " + std::to_string(prepared.seed) +
+                   " run by a backend at seed " +
+                   std::to_string(options_.seed));
+    const ParallelRunner par(options_.threads);
+    return PlanRunner(prepared, inputs, options_, par).run(stats);
+}
+
 std::vector<Tensor>
 CpuBackend::run(const ExecutionPlan &plan,
                 const std::map<ValueId, Tensor> &inputs,
                 CpuBackendStats *stats) const
 {
-    PlanRunner runner(plan, inputs, options_);
-    return runner.run(stats);
+    // One thread pool for both steps.
+    const ParallelRunner par(options_.threads);
+    const auto prepared = prepareOn(plan, options_.seed, par);
+    return PlanRunner(*prepared, inputs, options_, par).run(stats);
 }
 
 } // namespace smartmem::exec

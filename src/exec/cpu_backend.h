@@ -19,7 +19,12 @@
  *    nest (strided_copy.h) so no per-element index math runs;
  *  - compute runs on cache-blocked/tiled kernels (kernels_blocked.h)
  *    with fused element-wise epilogues, parallelized over batch /
- *    output tiles on a fixed support::ThreadPool.
+ *    output tiles on a fixed support::ThreadPool;
+ *  - what does not change between runs is done once, by prepare():
+ *    the weights become resident in the process-wide WeightStore
+ *    (weight_store.h), and every gather, pack, unpack and surviving
+ *    transform gets its StridedCopy planned.  run(plan, ...) prepares
+ *    and runs; a warm prepare finds every weight resident.
  *
  * Results are byte-identical at every thread count (static work
  * partitioning; each output element is produced by exactly one task
@@ -32,9 +37,13 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "exec/simd_dispatch.h"
+#include "exec/strided_copy.h"
 #include "exec/tensor.h"
 #include "runtime/plan.h"
 
@@ -71,6 +80,17 @@ cpuBackendOptionsFor(const device::DeviceProfile &dev, int threads,
 /** Counters from the most recent CpuBackend::run(). */
 struct CpuBackendStats
 {
+    /** Wall time of the prepare() that produced the plan run, ms (for
+     *  run(plan, ...), this call's own prepare). */
+    double prepareMs = 0;
+
+    /** Constants that prepare synthesized; 0 when every weight was
+     *  already resident (a warm run). */
+    int weightsSynthesized = 0;
+
+    /** Bytes of the weights the prepared plan pins in the store. */
+    std::int64_t weightBytesResident = 0;
+
     /** Kernels launched (= plan.operatorCount()). */
     int kernelsExecuted = 0;
 
@@ -93,8 +113,8 @@ struct CpuBackendStats
      *  the transformation work the plan did NOT eliminate. */
     std::int64_t bytesRelayouted = 0;
 
-    /** BufferPool high-water mark: intermediates only (constants stay
-     *  in the tensors they were synthesized into). */
+    /** BufferPool high-water mark: intermediates only (weights live
+     *  in the WeightStore, counted by weightBytesResident). */
     std::int64_t poolHighWaterBytes = 0;
 
     /** BufferPool allocations served by reuse. */
@@ -129,6 +149,57 @@ struct CpuBackendStats
     int threads = 1;
 };
 
+/**
+ * A plan made ready to run by CpuBackend::prepare(): its weights
+ * pinned in WeightStore::global() and every copy its kernels make
+ * planned.  Immutable once built, so any number of threads may run one
+ * prepared plan at once.  It borrows the plan, which must outlive it.
+ */
+struct PreparedPlan
+{
+    PreparedPlan() = default;
+    PreparedPlan(const PreparedPlan &) = delete;
+    PreparedPlan &operator=(const PreparedPlan &) = delete;
+    /** Returns the pins to the store. */
+    ~PreparedPlan();
+
+    /** Copies of one kernel.  A compute kernel's `inputs` parallel
+     *  Kernel::inputs: the read-map gather of a substituted input, or
+     *  the unpack of one stored in a non-row-major layout.  `store`
+     *  writes the kernel output into its chosen layout: from the
+     *  stored source for a relayout kernel, from the row-major result
+     *  for a compute kernel. */
+    struct KernelCopies
+    {
+        std::vector<std::optional<StridedCopy>> inputs;
+        StridedCopy store;
+    };
+
+    const runtime::ExecutionPlan *plan = nullptr;
+    /** Seed the weights were synthesized at. */
+    std::uint64_t seed = 0;
+
+    /** Row-major contents of each constant the plan reads, by value id
+     *  (null for every other value); `pins` keeps them resident. */
+    std::vector<const float *> weights;
+    std::vector<std::shared_ptr<const float>> pins;
+
+    /** runtime::lastUses(plan): when each stored buffer dies. */
+    std::map<std::pair<ir::ValueId, int>, std::size_t> lastUse;
+
+    std::vector<KernelCopies> kernels; ///< parallel to plan->kernels
+    /** Surviving transformation nodes, each one copy through its
+     *  IndexMap, by node id. */
+    std::map<ir::NodeId, StridedCopy> transforms;
+    /** Unpack of each graph output to row-major, in declaration
+     *  order. */
+    std::vector<StridedCopy> outputs;
+
+    double prepareMs = 0;
+    int weightsSynthesized = 0;
+    std::int64_t weightBytes = 0;
+};
+
 /** Plan-consuming blocked CPU executor (see file header). */
 class CpuBackend
 {
@@ -136,10 +207,26 @@ class CpuBackend
     explicit CpuBackend(CpuBackendOptions options = CpuBackendOptions());
 
     /**
-     * Execute the plan on the given model inputs (keyed by input value
-     * id, row-major).  Returns the graph outputs in declaration order,
-     * row-major.  `stats`, when non-null, receives the run's counters.
+     * Prepare `plan` at options().seed: pin its weights (synthesizing,
+     * in parallel, those not resident yet) and plan its copies.  The
+     * plan must outlive the result.
      */
+    std::shared_ptr<const PreparedPlan>
+    prepare(const runtime::ExecutionPlan &plan) const;
+
+    /**
+     * Execute a prepared plan on the given model inputs (keyed by
+     * input value id, row-major).  Returns the graph outputs in
+     * declaration order, row-major.  `stats`, when non-null, receives
+     * the run's counters.  The plan must have been prepared at this
+     * backend's seed.
+     */
+    std::vector<Tensor>
+    run(const PreparedPlan &prepared,
+        const std::map<ir::ValueId, Tensor> &inputs,
+        CpuBackendStats *stats = nullptr) const;
+
+    /** run(*prepare(plan), inputs, stats). */
     std::vector<Tensor>
     run(const runtime::ExecutionPlan &plan,
         const std::map<ir::ValueId, Tensor> &inputs,

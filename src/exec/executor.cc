@@ -54,74 +54,126 @@ Executor::randomTensor(const ir::Shape &shape, std::uint64_t salt) const
     return t;
 }
 
-Tensor
-Executor::synthesizeConstant(const ir::Graph &graph, ir::ValueId id) const
+bool
+ConstantRecipe::operator==(const ConstantRecipe &o) const
+{
+    return shape == o.shape && seed == o.seed && salt == o.salt &&
+           data == o.data && gatherIdx == o.gatherIdx &&
+           gatherCount == o.gatherCount && bnScaleSalt == o.bnScaleSalt &&
+           bnScaleCount == o.bnScaleCount;
+}
+
+std::uint64_t
+ConstantRecipe::hash() const
+{
+    std::uint64_t h = 0;
+    auto mix = [&h](std::uint64_t v) {
+        h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+    };
+    for (int d = 0; d < shape.rank(); ++d)
+        mix(static_cast<std::uint64_t>(shape.dim(d)));
+    mix(seed);
+    mix(salt);
+    for (const auto *ints : {&data, &gatherIdx}) {
+        mix(ints->size());
+        for (std::int64_t v : *ints)
+            mix(static_cast<std::uint64_t>(v));
+    }
+    mix(static_cast<std::uint64_t>(gatherCount));
+    mix(bnScaleSalt);
+    mix(static_cast<std::uint64_t>(bnScaleCount));
+    return h;
+}
+
+ConstantRecipe
+constantRecipe(const ir::Graph &graph, ir::ValueId id, std::uint64_t seed)
 {
     const ir::Value &v = graph.value(id);
     const ir::Node &n = graph.node(v.producer);
     SM_ASSERT(n.kind == ir::OpKind::Constant,
-              "synthesizeConstant on non-constant");
+              "constantRecipe on non-constant");
+    ConstantRecipe r;
+    r.shape = v.shape;
     if (n.attrs.has("data")) {
-        const auto &data = n.attrs.getInts("data");
-        SM_REQUIRE(static_cast<std::int64_t>(data.size()) ==
+        r.data = n.attrs.getInts("data");
+        SM_REQUIRE(static_cast<std::int64_t>(r.data.size()) ==
                    v.shape.numElements(),
                    "constant data size mismatch");
-        Tensor t(v.shape);
-        for (std::size_t i = 0; i < data.size(); ++i)
-            t.at(static_cast<std::int64_t>(i)) =
-                static_cast<float>(data[i]);
-        return t;
+        return r;
     }
-
+    r.seed = seed;
     // Graph rewrites renumber values, so rewritten constants carry
     // their original stream id in a "salt" attr; fresh graphs fall
     // back to the value id, which keeps historical streams intact.
-    const std::uint64_t salt = static_cast<std::uint64_t>(
-        n.attrs.getInt("salt", id));
-    // Small magnitudes keep deep compositions numerically stable.
-    auto fill = [this](float *dst, std::int64_t count,
-                       std::uint64_t stream) {
-        Rng rng(seed_ + stream * 7919 + 17);
-        for (std::int64_t i = 0; i < count; ++i)
-            dst[i] = static_cast<float>(rng.uniformReal(-0.25, 0.25));
-    };
-
+    r.salt = static_cast<std::uint64_t>(n.attrs.getInt("salt", id));
     if (n.attrs.has("fold_gather_idx")) {
-        // Constant-folded Gather: element i is table[idx[i]] of the
-        // source table's stream, so folding is seed-invariant.
-        const auto &idx = n.attrs.getInts("fold_gather_idx");
-        const std::int64_t count = n.attrs.getInt("fold_gather_count");
-        SM_REQUIRE(static_cast<std::int64_t>(idx.size()) ==
+        r.gatherIdx = n.attrs.getInts("fold_gather_idx");
+        r.gatherCount = n.attrs.getInt("fold_gather_count");
+        SM_REQUIRE(static_cast<std::int64_t>(r.gatherIdx.size()) ==
                    v.shape.numElements(),
                    "fold_gather_idx size mismatch");
-        Tensor table(ir::Shape({count}));
-        fill(table.data(), count, salt);
-        Tensor t(v.shape);
-        for (std::size_t i = 0; i < idx.size(); ++i) {
-            SM_REQUIRE(idx[i] >= 0 && idx[i] < count,
+        for (std::int64_t i : r.gatherIdx)
+            SM_REQUIRE(i >= 0 && i < r.gatherCount,
                        "fold_gather_idx out of range");
-            t.at(static_cast<std::int64_t>(i)) = table.at(idx[i]);
-        }
-        return t;
+        return r;
+    }
+    if (n.attrs.has("bnfold_scale_salt")) {
+        r.bnScaleSalt = static_cast<std::uint64_t>(
+            n.attrs.getInt("bnfold_scale_salt"));
+        r.bnScaleCount = n.attrs.getInt("bnfold_scale_count");
+    }
+    return r;
+}
+
+void
+synthesizeInto(const ConstantRecipe &r, float *dst)
+{
+    const std::int64_t n = r.shape.numElements();
+    if (!r.data.empty()) {
+        for (std::int64_t i = 0; i < n; ++i)
+            dst[i] = static_cast<float>(r.data[static_cast<std::size_t>(i)]);
+        return;
+    }
+    // Small magnitudes keep deep compositions numerically stable.
+    auto fill = [&r](float *out, std::int64_t count, std::uint64_t stream) {
+        Rng rng(r.seed + stream * 7919 + 17);
+        for (std::int64_t i = 0; i < count; ++i)
+            out[i] = static_cast<float>(rng.uniformReal(-0.25, 0.25));
+    };
+
+    if (!r.gatherIdx.empty()) {
+        // Constant-folded Gather: element i is table[idx[i]] of the
+        // source table's stream, so folding is seed-invariant.
+        std::vector<float> table(static_cast<std::size_t>(r.gatherCount));
+        fill(table.data(), r.gatherCount, r.salt);
+        for (std::int64_t i = 0; i < n; ++i)
+            dst[i] = table[static_cast<std::size_t>(
+                r.gatherIdx[static_cast<std::size_t>(i)])];
+        return;
     }
 
-    Tensor t(v.shape);
-    fill(t.data(), t.numElements(), salt);
-    if (n.attrs.has("bnfold_scale_salt")) {
+    fill(dst, n, r.salt);
+    if (r.bnScaleCount > 0) {
         // Conv+BatchNorm folding: weight output-channel o is scaled by
         // the BN scale's stream value g[o % count], the same per-channel
         // factor evalBatchNorm would have applied to the conv output.
-        const std::int64_t count = n.attrs.getInt("bnfold_scale_count");
-        Tensor g(ir::Shape({count}));
-        fill(g.data(), count,
-             static_cast<std::uint64_t>(
-                 n.attrs.getInt("bnfold_scale_salt")));
-        const std::int64_t oc = v.shape.dim(0);
-        const std::int64_t inner = t.numElements() / oc;
+        std::vector<float> g(static_cast<std::size_t>(r.bnScaleCount));
+        fill(g.data(), r.bnScaleCount, r.bnScaleSalt);
+        const std::int64_t oc = r.shape.dim(0);
+        const std::int64_t inner = n / oc;
         for (std::int64_t o = 0; o < oc; ++o)
             for (std::int64_t i = 0; i < inner; ++i)
-                t.at(o * inner + i) *= g.at(o % count);
+                dst[o * inner + i] *=
+                    g[static_cast<std::size_t>(o % r.bnScaleCount)];
     }
+}
+
+Tensor
+Executor::synthesizeConstant(const ir::Graph &graph, ir::ValueId id) const
+{
+    const ConstantRecipe r = constantRecipe(graph, id, seed_);
+    Tensor t(r.shape);
+    synthesizeInto(r, t.data());
     return t;
 }
 

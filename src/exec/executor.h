@@ -16,6 +16,48 @@
 
 namespace smartmem::exec {
 
+/**
+ * Everything a synthesized constant's bytes depend on.  Two constants
+ * with equal recipes hold identical bytes, whatever graph or value id
+ * they come from, so the recipe is the resident weight store's key
+ * (exec/weight_store.h).  Fields a constant's kind does not read stay
+ * at their defaults: a "data" constant keeps only shape and data.
+ */
+struct ConstantRecipe
+{
+    ir::Shape shape;
+    std::uint64_t seed = 0;
+    /** Synthesis stream: the "salt" attr, else the value id. */
+    std::uint64_t salt = 0;
+    /** Literal contents (the "data" attr). */
+    std::vector<std::int64_t> data;
+    /** Constant-folded Gather over the salt stream's table of
+     *  gatherCount entries (fold_gather_idx / fold_gather_count). */
+    std::vector<std::int64_t> gatherIdx;
+    std::int64_t gatherCount = 0;
+    /** Conv+BatchNorm fold: output channel o scaled by stream
+     *  bnScaleSalt's value o % bnScaleCount (0 = no fold). */
+    std::uint64_t bnScaleSalt = 0;
+    std::int64_t bnScaleCount = 0;
+
+    bool operator==(const ConstantRecipe &o) const;
+    std::uint64_t hash() const;
+    std::int64_t bytes() const
+    {
+        return shape.numElements() *
+               static_cast<std::int64_t>(sizeof(float));
+    }
+};
+
+/** The recipe of constant `id` at `seed`.  Throws FatalError when its
+ *  attrs disagree with its shape. */
+ConstantRecipe constantRecipe(const ir::Graph &graph, ir::ValueId id,
+                              std::uint64_t seed);
+
+/** Write the recipe's row-major contents (shape.numElements() floats)
+ *  to `dst`. */
+void synthesizeInto(const ConstantRecipe &recipe, float *dst);
+
 /** Executes graphs with real float math. */
 class Executor
 {
@@ -36,7 +78,8 @@ class Executor
     runOutputs(const ir::Graph &graph,
                const std::map<ir::ValueId, Tensor> &inputs) const;
 
-    /** Synthesize the deterministic constant tensor for a value. */
+    /** Synthesize the deterministic constant tensor for a value:
+     *  synthesizeInto(constantRecipe(graph, id, seed)). */
     Tensor synthesizeConstant(const ir::Graph &graph,
                               ir::ValueId id) const;
 

@@ -10,7 +10,7 @@
  * backend can hand them tensors in the plan's packed (vec4) or
  * texture-order physical layouts directly: the stride arithmetic runs
  * in the micro-kernel load/store paths instead of a pack/unpack copy
- * (exec::relayoutCopy, strided_copy.h) at the kernel boundary.
+ * (exec::planRelayout, strided_copy.h) at the kernel boundary.
  *
  * Inner loops dispatch over exec::SimdLevel (AVX2 / AVX-512 / NEON
  * micro-kernels behind runtime CPU detection, see simd_dispatch.h);

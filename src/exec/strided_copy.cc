@@ -1,6 +1,7 @@
 #include "exec/strided_copy.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 
 #include "exec/kernels_blocked.h"
@@ -17,6 +18,8 @@ namespace {
 
 /** Elements per parallel task, at least. */
 constexpr std::int64_t kGrain = 4096;
+
+std::atomic<std::int64_t> copiesPlanned{0};
 
 /** Offset contribution of coordinate c on a vec4-packed dimension. */
 inline std::int64_t
@@ -159,10 +162,17 @@ copyPlaneTables(const CopyLoop &outer, std::int64_t j0, std::int64_t j1,
 
 } // namespace
 
+std::int64_t
+stridedCopiesPlanned()
+{
+    return copiesPlanned.load();
+}
+
 StridedCopy
 planStridedCopy(const index::IndexMap &map, const Layout &srcL,
                 const Shape &srcShape, const Layout &dstL)
 {
+    ++copiesPlanned;
     const Shape &os = map.outputShape();
     // Lowered expressions: the source coordinates, the destination
     // coordinates (the output variables), then each multi-group
@@ -350,30 +360,6 @@ runStridedCopy(const StridedCopy &cp, const float *src, float *dst,
             }
         }
     });
-}
-
-void
-materializeMapped(const index::IndexMap &map, const float *src,
-                  const Layout &srcL, const Shape &srcShape, float *dst,
-                  const ParallelRunner &par)
-{
-    runStridedCopy(planStridedCopy(map, srcL, srcShape,
-                                   Layout::rowMajor(
-                                       map.outputShape().rank())),
-                   src, dst, par);
-}
-
-void
-relayoutCopy(const Shape &shape, const float *src, const Layout &srcL,
-             float *dst, const Layout &dstL, const ParallelRunner &par)
-{
-    if (srcL == dstL) { // same storage order: nothing to plan
-        std::memcpy(dst, src,
-                    static_cast<std::size_t>(srcL.storageElements(shape)) *
-                        sizeof(float));
-        return;
-    }
-    runStridedCopy(planRelayout(shape, srcL, dstL), src, dst, par);
 }
 
 } // namespace smartmem::exec

@@ -73,6 +73,10 @@ StridedCopy planStridedCopy(const index::IndexMap &map,
                             const ir::Shape &srcShape,
                             const ir::Layout &dstL);
 
+/** planStridedCopy() calls this process has made (all threads): a
+ *  prepared plan's runs must not add to it. */
+std::int64_t stridedCopiesPlanned();
+
 /** The copy of a `shape` tensor from `srcL` to `dstL` storage: the
  *  identity map's plan, built directly (every layout pair plans). */
 StridedCopy planRelayout(const ir::Shape &shape, const ir::Layout &srcL,
@@ -86,21 +90,6 @@ StridedCopy planBroadcast(const ir::Shape &shape,
 /** Execute a planned copy, parallel over the nest's rows. */
 void runStridedCopy(const StridedCopy &copy, const float *src,
                     float *dst, const ParallelRunner &par);
-
-/**
- * dst (row-major map.outputShape()) = src (srcShape stored in `srcL`)
- * read through `map`: reproduces an eliminated transformation chain in
- * one pass.
- */
-void materializeMapped(const index::IndexMap &map, const float *src,
-                       const ir::Layout &srcL, const ir::Shape &srcShape,
-                       float *dst, const ParallelRunner &par);
-
-/** Copy a `shape` tensor between two physical layouts: a memcpy when
- *  they are equal, else planRelayout() through the same engine. */
-void relayoutCopy(const ir::Shape &shape, const float *src,
-                  const ir::Layout &srcL, float *dst,
-                  const ir::Layout &dstL, const ParallelRunner &par);
 
 } // namespace smartmem::exec
 

@@ -7,8 +7,9 @@
  * CPU execution backend.
  *
  * Mirrors the paper's allocator: intermediates come from a pool and are
- * released back when no remaining consumer needs them; weights stay
- * resident for the whole run.
+ * released back when no remaining consumer needs them.  Weights are not
+ * pooled: they stay resident across runs in exec::WeightStore, pinned
+ * by each prepared plan.
  */
 #ifndef SMARTMEM_RUNTIME_MEMORY_POOL_H
 #define SMARTMEM_RUNTIME_MEMORY_POOL_H

@@ -22,11 +22,18 @@ class ReferenceExecutor final : public PlanExecutor
         return n;
     }
 
+    std::shared_ptr<const Prepared>
+    prepare(const ExecutionPlan &plan) const override
+    {
+        return std::make_shared<const Prepared>(plan);
+    }
+
+    using PlanExecutor::run;
     std::vector<exec::Tensor>
-    run(const ExecutionPlan &plan,
+    run(const Prepared &prepared,
         const std::map<ir::ValueId, exec::Tensor> &inputs) override
     {
-        return runPlanFunctional(plan, inputs, seed_);
+        return runPlanFunctional(prepared.plan(), inputs, seed_);
     }
 
     const exec::CpuBackendStats &stats() const override
@@ -53,11 +60,33 @@ class CpuBlockedExecutor final : public PlanExecutor
         return n;
     }
 
+    /** The handle holds the backend's prepared plan. */
+    struct BlockedPrepared final : Prepared
+    {
+        explicit BlockedPrepared(
+            std::shared_ptr<const exec::PreparedPlan> p)
+            : Prepared(*p->plan), prepared(std::move(p))
+        {
+        }
+        std::shared_ptr<const exec::PreparedPlan> prepared;
+    };
+
+    std::shared_ptr<const Prepared>
+    prepare(const ExecutionPlan &plan) const override
+    {
+        return std::make_shared<const BlockedPrepared>(
+            backend_.prepare(plan));
+    }
+
+    using PlanExecutor::run;
     std::vector<exec::Tensor>
-    run(const ExecutionPlan &plan,
+    run(const Prepared &prepared,
         const std::map<ir::ValueId, exec::Tensor> &inputs) override
     {
-        return backend_.run(plan, inputs, &stats_);
+        const auto *own = dynamic_cast<const BlockedPrepared *>(&prepared);
+        SM_REQUIRE(own != nullptr,
+                   "plan was prepared by another execution backend");
+        return backend_.run(*own->prepared, inputs, &stats_);
     }
 
     const exec::CpuBackendStats &stats() const override

@@ -35,16 +35,46 @@ namespace smartmem::runtime {
 class PlanExecutor
 {
   public:
+    /**
+     * A plan made ready to run on one backend (see prepare()).
+     * Immutable and shareable: any thread may run it on any executor
+     * of the same backend and seed.  It borrows the plan, which must
+     * outlive it.  The reference backend's handle is just this.
+     */
+    class Prepared
+    {
+      public:
+        explicit Prepared(const ExecutionPlan &plan) : plan_(&plan) {}
+        virtual ~Prepared() = default;
+        const ExecutionPlan &plan() const { return *plan_; }
+
+      private:
+        const ExecutionPlan *plan_;
+    };
+
     virtual ~PlanExecutor() = default;
 
     /** Registry name of this backend. */
     virtual const std::string &name() const = 0;
 
-    /** Execute the plan; returns graph outputs in declaration order,
-     *  row-major. */
+    /** Do once what every run of `plan` would repeat (cpu-blocked:
+     *  CpuBackend::prepare, resident weights and planned copies). */
+    virtual std::shared_ptr<const Prepared>
+    prepare(const ExecutionPlan &plan) const = 0;
+
+    /** Execute a prepared plan; returns graph outputs in declaration
+     *  order, row-major. */
     virtual std::vector<exec::Tensor>
-    run(const ExecutionPlan &plan,
+    run(const Prepared &prepared,
         const std::map<ir::ValueId, exec::Tensor> &inputs) = 0;
+
+    /** run(*prepare(plan), inputs). */
+    std::vector<exec::Tensor>
+    run(const ExecutionPlan &plan,
+        const std::map<ir::ValueId, exec::Tensor> &inputs)
+    {
+        return run(*prepare(plan), inputs);
+    }
 
     /** Counters of the most recent run() (each run overwrites the
      *  record).  The serial reference backend has no allocator, tiles

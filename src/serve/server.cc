@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "device/device_registry.h"
-#include "runtime/plan_executor.h"
 #include "support/error.h"
 
 namespace smartmem::serve {
@@ -319,18 +318,40 @@ InferenceServer::inputsFor(const InferenceRequest &request,
     return inputs;
 }
 
+std::shared_ptr<const runtime::PlanExecutor::Prepared>
+InferenceServer::preparedFor(
+    const std::shared_ptr<const runtime::ExecutionPlan> &plan,
+    const runtime::PlanExecutor &executor)
+{
+    const std::string &key = plan->cacheKey;
+    if (!key.empty()) {
+        std::lock_guard<std::mutex> lock(mu_);
+        auto it = prepared_.find(key);
+        if (it != prepared_.end())
+            return it->second.second;
+    }
+    auto prepared = executor.prepare(*plan);
+    if (key.empty())
+        return prepared;
+    // Two workers may race to prepare one plan; keep the first.
+    std::lock_guard<std::mutex> lock(mu_);
+    return prepared_.try_emplace(key, plan, std::move(prepared))
+        .first->second.second;
+}
+
 void
-InferenceServer::executeSingles(std::vector<QueuedRequest> &batch,
-                                const runtime::ExecutionPlan &plan1,
-                                runtime::PlanExecutor &executor)
+InferenceServer::executeSingles(
+    std::vector<QueuedRequest> &batch,
+    const runtime::PlanExecutor::Prepared &prepared1,
+    runtime::PlanExecutor &executor)
 {
     const std::string &model = batch.front().request.model;
     for (QueuedRequest &q : batch) {
         try {
-            auto inputs = inputsFor(q.request, plan1.graph);
+            auto inputs = inputsFor(q.request, prepared1.plan().graph);
             const double queueMs = msSince(q.enqueueTime);
             const auto execStart = std::chrono::steady_clock::now();
-            auto outputs = executor.run(plan1, inputs);
+            auto outputs = executor.run(prepared1, inputs);
             InferenceResponse r;
             r.status = ResponseStatus::Ok;
             r.batchSize = 1;
@@ -441,7 +462,8 @@ InferenceServer::execute(std::vector<QueuedRequest> batch)
         }
 
         if (!plank) {
-            executeSingles(batch, plan1, *executor);
+            executeSingles(batch, *preparedFor(r1.plan, *executor),
+                           *executor);
             return;
         }
 
@@ -477,7 +499,8 @@ InferenceServer::execute(std::vector<QueuedRequest> batch)
                     batch[b].answered = true; // handed off
                 }
             if (!rest.empty())
-                executeSingles(rest, plan1, *executor);
+                executeSingles(rest, *preparedFor(r1.plan, *executor),
+                               *executor);
             return;
         }
 
@@ -501,13 +524,14 @@ InferenceServer::execute(std::vector<QueuedRequest> batch)
             stacked[idsk[j]] = std::move(t);
         }
 
+        const auto preparedK = preparedFor(plank, *executor);
         std::vector<double> queueMs;
         queueMs.reserve(batch.size());
         for (const QueuedRequest &q : batch)
             queueMs.push_back(msSince(q.enqueueTime));
         const auto execStart = std::chrono::steady_clock::now();
         std::vector<exec::Tensor> outputs =
-            executor->run(*plank, stacked);
+            executor->run(*preparedK, stacked);
         const double execMs = msSince(execStart);
         stats_.onBatchExecuted(model, k);
 

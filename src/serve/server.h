@@ -15,6 +15,10 @@
  *                                  (per device, batch-k re-planning)
  *                                               │
  *                                               ▼
+ *                                  prepared plans (one per plan
+ *                                  cacheKey, shared by the workers)
+ *                                               │
+ *                                               ▼
  *                                  runtime::makeExecutor backend
  *
  * submit() never blocks: it validates routing against the existing
@@ -50,11 +54,8 @@
 #include "serve/batcher.h"
 #include "serve/request.h"
 #include "serve/serve_stats.h"
+#include "runtime/plan_executor.h"
 #include "support/thread_pool.h"
-
-namespace smartmem::runtime {
-class PlanExecutor;
-}
 
 namespace smartmem::serve {
 
@@ -170,8 +171,15 @@ class InferenceServer
     void workerLoop();
     void execute(std::vector<QueuedRequest> batch);
     void executeSingles(std::vector<QueuedRequest> &batch,
-                        const runtime::ExecutionPlan &plan1,
+                        const runtime::PlanExecutor::Prepared &prepared1,
                         runtime::PlanExecutor &executor);
+
+    /** `plan` prepared on `executor`'s backend: once per plan
+     *  cacheKey, then shared by every worker (weights stay resident
+     *  for the server's lifetime). */
+    std::shared_ptr<const runtime::PlanExecutor::Prepared>
+    preparedFor(const std::shared_ptr<const runtime::ExecutionPlan> &plan,
+                const runtime::PlanExecutor &executor);
 
     /** Per-request input map against the batch-1 graph: explicit
      *  tensors validated against the declared inputs, or synthesized
@@ -203,6 +211,11 @@ class InferenceServer
      *  batch > 1" memo, so fixed-batch sources don't retry a failing
      *  build on every batch. */
     std::map<std::string, bool> batchable_;
+    /** Plan cacheKey -> the plan and its prepared form. */
+    std::map<std::string,
+             std::pair<std::shared_ptr<const runtime::ExecutionPlan>,
+                       std::shared_ptr<const runtime::PlanExecutor::Prepared>>>
+        prepared_;
 };
 
 } // namespace smartmem::serve

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <thread>
 
 #include "core/smartmem_compiler.h"
 #include "device/device_profile.h"
@@ -22,6 +23,7 @@
 #include "exec/kernels_blocked.h"
 #include "models/models.h"
 #include "exec/strided_copy.h"
+#include "exec/weight_store.h"
 #include "index/loop_nest.h"
 #include "runtime/plan_executor.h"
 #include "support/error.h"
@@ -31,6 +33,22 @@ namespace {
 
 constexpr std::uint64_t kSeed = 4242;
 constexpr float kTolerance = 1e-4f;
+
+/** Same outputs, bit for bit. */
+bool
+sameBytes(const std::vector<exec::Tensor> &a,
+          const std::vector<exec::Tensor> &b)
+{
+    if (a.size() != b.size())
+        return false;
+    for (std::size_t i = 0; i < a.size(); ++i)
+        if (a[i].shape() != b[i].shape() ||
+            std::memcmp(a[i].data(), b[i].data(),
+                        static_cast<std::size_t>(a[i].numElements()) *
+                            sizeof(float)) != 0)
+            return false;
+    return true;
+}
 
 
 class ZooParity : public ::testing::TestWithParam<std::string>
@@ -653,6 +671,7 @@ expectSameRecord(const exec::CpuBackendStats &a,
     EXPECT_EQ(a.tileRowTile, b.tileRowTile);
     EXPECT_EQ(a.tileKBlock, b.tileKBlock);
     EXPECT_EQ(a.threads, b.threads);
+    EXPECT_EQ(a.weightBytesResident, b.weightBytesResident);
 }
 
 TEST(PlanExecutorStats, BlockedRecordMatchesBackendRun)
@@ -716,6 +735,30 @@ TEST(PlanExecutorStats, ReferenceReportsTheDefaultRecord)
     EXPECT_EQ(be->stats().tileRowTile, 0);
 }
 
+TEST(PlanExecutorRegistry, PreparedPlansRunOnTheirOwnBackend)
+{
+    auto dev = device::adreno740();
+    auto g = models::buildTinyVariant("ViT", 1);
+    auto plan = core::compileSmartMem(g, dev);
+    exec::Executor ex(kSeed);
+    auto inputs = exec::makeSeededInputs(plan.graph, ex);
+    const exec::CpuBackendOptions o = exec::cpuBackendOptionsFor(dev, 2, kSeed);
+
+    using Prepared = runtime::PlanExecutor::Prepared;
+    std::map<std::string, std::shared_ptr<const Prepared>> prepared;
+    for (const std::string &name : runtime::executorNames()) {
+        auto be = runtime::makeExecutor(name, o);
+        prepared[name] = be->prepare(plan);
+        EXPECT_EQ(&prepared[name]->plan(), &plan);
+        EXPECT_TRUE(sameBytes(be->run(plan, inputs),
+                              be->run(*prepared[name], inputs)))
+            << name;
+    }
+    EXPECT_THROW(runtime::makeExecutor("cpu-blocked", o)
+                     ->run(*prepared["reference"], inputs),
+                 FatalError);
+}
+
 TEST(CpuBackendSeeds, SeedMismatchChangesOutputs)
 {
     // Constants are synthesized from the seed; two different seeds
@@ -734,6 +777,312 @@ TEST(CpuBackendSeeds, SeedMismatchChangesOutputs)
     auto ra = exec::CpuBackend(a).run(plan, inputs);
     auto rb = exec::CpuBackend(b).run(plan, inputs);
     EXPECT_GT(exec::maxAbsDiff(ra[0], rb[0]), 0.0f);
+}
+
+TEST(CpuBackendSeeds, PreparedPlanRunsOnlyAtItsSeed)
+{
+    auto dev = device::adreno740();
+    auto plan = core::compileSmartMem(models::buildTinyVariant("ViT", 1),
+                                      dev);
+    exec::Executor ex(kSeed);
+    auto inputs = exec::makeSeededInputs(plan.graph, ex);
+    exec::CpuBackendOptions a, b;
+    a.seed = kSeed;
+    b.seed = kSeed + 1;
+    const auto prepared = exec::CpuBackend(a).prepare(plan);
+    EXPECT_EQ(prepared->seed, kSeed);
+    EXPECT_THROW(exec::CpuBackend(b).run(*prepared, inputs), FatalError);
+}
+
+// -------------------------------------------------------------------
+// Prepared plans and the resident weight store
+// -------------------------------------------------------------------
+
+/** Seeds no other test uses, so a prepare at one is cold. */
+std::uint64_t
+freshSeed()
+{
+    static std::uint64_t next = 900000;
+    return ++next;
+}
+
+TEST(PreparedPlan, ColdAndWarmRunsAreByteIdenticalOnTheTinyZoo)
+{
+    auto dev = device::adreno740();
+    for (const char *model : {"Swin", "ViT", "ResNext"}) {
+        auto plan = core::compileStage(models::buildTinyVariant(model, 1),
+                                       dev, 3);
+        for (int threads : {1, 2, 4}) {
+            const exec::CpuBackend be(
+                exec::cpuBackendOptionsFor(dev, threads, freshSeed()));
+            auto inputs = exec::makeSeededInputs(
+                plan.graph, exec::Executor(be.options().seed));
+            exec::CpuBackendStats cold, warm;
+            const auto a = be.run(plan, inputs, &cold);
+            const auto b = be.run(plan, inputs, &warm);
+            EXPECT_GT(cold.weightsSynthesized, 0) << model;
+            EXPECT_EQ(warm.weightsSynthesized, 0) << model;
+            EXPECT_TRUE(sameBytes(a, b))
+                << model << " threads " << threads;
+        }
+    }
+}
+
+TEST(CpuBackendStats, WarmRunSynthesizesNoWeights)
+{
+    auto dev = device::adreno740();
+    auto plan = core::compileStage(models::buildTinyVariant("ResNext", 1),
+                                   dev, 3);
+    const exec::CpuBackend be(exec::cpuBackendOptionsFor(dev, 2, freshSeed()));
+    auto inputs =
+        exec::makeSeededInputs(plan.graph, exec::Executor(be.options().seed));
+
+    std::int64_t constantBytes = 0;
+    int constants = 0;
+    for (const ir::Node &n : plan.graph.nodes())
+        if (n.kind == ir::OpKind::Constant &&
+            !plan.graph.consumers(n.output).empty()) {
+            constantBytes += plan.graph.value(n.output).shape.numElements() *
+                             static_cast<std::int64_t>(sizeof(float));
+            ++constants;
+        }
+
+    exec::CpuBackendStats cold, warm;
+    be.run(plan, inputs, &cold);
+    EXPECT_EQ(cold.weightsSynthesized, constants);
+    EXPECT_EQ(cold.weightBytesResident, constantBytes);
+    EXPECT_GT(cold.prepareMs, 0.0);
+
+    const auto prepared = be.prepare(plan);
+    EXPECT_EQ(prepared->weightsSynthesized, 0);
+    be.run(*prepared, inputs, &warm);
+    EXPECT_EQ(warm.weightsSynthesized, 0);
+    EXPECT_EQ(warm.weightBytesResident, constantBytes);
+    EXPECT_EQ(warm.prepareMs, prepared->prepareMs);
+}
+
+TEST(PreparedPlan, RoutingBlockPlansItsTableOnce)
+{
+    const auto dev = device::adreno740();
+    const auto plan = core::compileStage(routingGraph(), dev, 3);
+    exec::Executor ex(kSeed);
+    const auto inputs = exec::makeSeededInputs(plan.graph, ex);
+    const auto ref = ex.runOutputs(plan.graph, inputs);
+    const exec::CpuBackend be(exec::cpuBackendOptionsFor(dev, 2, kSeed));
+
+    const std::int64_t before = exec::stridedCopiesPlanned();
+    const auto prepared = be.prepare(plan);
+    const std::int64_t planned = exec::stridedCopiesPlanned();
+    EXPECT_GT(planned, before);
+    // The routing gather's copy lives in the prepared plan: one
+    // (region, top-k) table loop.
+    std::vector<std::int64_t> tables;
+    for (const auto &kc : prepared->kernels)
+        for (const auto &cp : kc.inputs)
+            if (cp)
+                for (const exec::CopyLoop &l : cp->loops)
+                    if (!l.srcTable.empty())
+                        tables.push_back(l.extent);
+    EXPECT_EQ(tables, std::vector<std::int64_t>{kRegions * kTopK});
+
+    std::vector<exec::Tensor> first;
+    for (int run = 0; run < 5; ++run) {
+        exec::CpuBackendStats st;
+        const auto got = be.run(*prepared, inputs, &st);
+        EXPECT_LE(exec::maxRelDiff(ref, got), kTolerance);
+        EXPECT_EQ(st.substitutesMaterialized, 1);
+        if (run == 0)
+            first = got;
+        EXPECT_TRUE(sameBytes(first, got)) << "run " << run;
+    }
+    EXPECT_EQ(exec::stridedCopiesPlanned(), planned)
+        << "a prepared run planned a copy";
+}
+
+TEST(PreparedPlan, PinsSurviveAConcurrentPrepareAtAnotherSeed)
+{
+    auto dev = device::adreno740();
+    auto plan = core::compileStage(models::buildTinyVariant("Swin", 1), dev,
+                                   3);
+    const exec::CpuBackend be(exec::cpuBackendOptionsFor(dev, 2, freshSeed()));
+    auto inputs =
+        exec::makeSeededInputs(plan.graph, exec::Executor(be.options().seed));
+    const auto prepared = be.prepare(plan);
+    const auto want = be.run(*prepared, inputs);
+
+    // Each prepare at a new seed finds the previous one's weights idle
+    // and evicts them; the pinned set must stay readable throughout.
+    std::vector<std::uint64_t> otherSeeds;
+    for (int i = 0; i < 6; ++i)
+        otherSeeds.push_back(freshSeed());
+    std::vector<char> same(2, 1);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < 2; ++t)
+        threads.emplace_back([&, t] {
+            for (int i = 0; i < 6; ++i)
+                same[t] = same[t] && sameBytes(want, be.run(*prepared, inputs));
+        });
+    threads.emplace_back([&] {
+        for (std::uint64_t seed : otherSeeds)
+            exec::CpuBackend(exec::cpuBackendOptionsFor(dev, 1, seed))
+                .prepare(plan);
+    });
+    for (auto &th : threads)
+        th.join();
+    EXPECT_TRUE(same[0]);
+    EXPECT_TRUE(same[1]);
+    EXPECT_TRUE(sameBytes(want, be.run(*prepared, inputs)));
+}
+
+/** Recipes of `n` plain constants of `elems` floats at `seed`. */
+std::vector<exec::ConstantRecipe>
+plainRecipes(std::uint64_t seed, int n, std::int64_t elems)
+{
+    std::vector<exec::ConstantRecipe> rs(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) {
+        rs[static_cast<std::size_t>(i)].shape = ir::Shape({elems});
+        rs[static_cast<std::size_t>(i)].seed = seed;
+        rs[static_cast<std::size_t>(i)].salt = static_cast<std::uint64_t>(i);
+    }
+    return rs;
+}
+
+TEST(WeightStore, RetentionRuleKeepsOneLargestSetIdle)
+{
+    exec::WeightStore store;
+    exec::ParallelRunner par(2);
+    const std::int64_t kSet = 3 * 1000 * 4; // bytes of one plainRecipes set
+    int synthesized = 0;
+
+    auto a1 = store.acquire(plainRecipes(1, 3, 1000), par, &synthesized);
+    EXPECT_EQ(synthesized, 3);
+    EXPECT_EQ(store.retentionBound(), kSet);
+    EXPECT_EQ(store.idleBytes(), 0);
+    store.release(a1);
+    EXPECT_EQ(store.idleBytes(), kSet);
+
+    // The same recipes hit, and bytes match a fresh synthesis.
+    auto again = store.acquire(plainRecipes(1, 3, 1000), par, &synthesized);
+    EXPECT_EQ(synthesized, 0);
+    std::vector<float> want(1000);
+    exec::synthesizeInto(plainRecipes(1, 3, 1000)[2], want.data());
+    EXPECT_EQ(0, std::memcmp(again[2].get(), want.data(), 4000));
+    store.release(again);
+
+    // A new seed evicts the idle set before filling its own.
+    auto a2 = store.acquire(plainRecipes(2, 3, 1000), par, &synthesized);
+    EXPECT_EQ(synthesized, 3);
+    EXPECT_EQ(store.residentBytes(), kSet);
+    store.release(a2);
+
+    // Pinned sets are never evicted, even when older than the idle
+    // ones; trimming on release restores the bound.
+    auto p3 = store.acquire(plainRecipes(3, 3, 1000), par);
+    auto q = store.acquire(plainRecipes(7, 3, 1000), par);
+    store.release(q);
+    auto p4 = store.acquire(plainRecipes(4, 3, 1000), par);
+    EXPECT_EQ(store.residentBytes(), 2 * kSet);
+    EXPECT_EQ(store.idleBytes(), 0);
+    auto hit = store.acquire(plainRecipes(3, 3, 1000), par, &synthesized);
+    EXPECT_EQ(synthesized, 0);
+    store.release(hit);
+    store.release(p3);
+    store.release(p4);
+    EXPECT_LE(store.idleBytes(), store.retentionBound());
+    EXPECT_EQ(store.residentBytes(), kSet);
+
+    // A larger set raises the bound; a smaller one evicts least
+    // recently used entries only as far as it must.
+    auto big = store.acquire(plainRecipes(5, 6, 1000), par);
+    EXPECT_EQ(store.retentionBound(), 2 * kSet);
+    store.release(big);
+    auto small = store.acquire(plainRecipes(6, 1, 1000), par);
+    EXPECT_EQ(store.residentBytes(), 2 * kSet);
+    store.release(small);
+    EXPECT_LE(store.idleBytes(), store.retentionBound());
+}
+
+TEST(WeightStore, IdleBytesStayUnderTheLargestWeightSet)
+{
+    // Plan A at two seeds, then the tiny-zoo loop, through the
+    // process-wide store every backend prepares against.
+    auto dev = device::adreno740();
+    const exec::WeightStore &store = exec::WeightStore::global();
+    auto planA = core::compileStage(models::buildTinyVariant("Swin", 1), dev,
+                                    3);
+    for (std::uint64_t seed : {1, 2}) {
+        const auto prepared =
+            exec::CpuBackend(exec::cpuBackendOptionsFor(dev, 2, seed))
+                .prepare(planA);
+        EXPECT_LE(prepared->weightBytes, store.retentionBound());
+    }
+    EXPECT_LE(store.idleBytes(), store.retentionBound());
+    const exec::CpuBackend be(exec::cpuBackendOptionsFor(dev, 2, kSeed));
+    for (const std::string &name : models::evaluationModels()) {
+        auto plan = core::compileStage(models::buildTinyVariant(name, 1),
+                                       dev, 3);
+        exec::CpuBackendStats st;
+        be.run(plan, exec::makeSeededInputs(plan.graph, exec::Executor(kSeed)),
+               &st);
+        EXPECT_LE(st.weightBytesResident, store.retentionBound()) << name;
+        EXPECT_LE(store.idleBytes(), store.retentionBound()) << name;
+    }
+}
+
+/** x[1, 8] times one [8, 8] weight carrying `attrs`; `weightFirst`
+ *  declares the weight before the input, renumbering both values. */
+ir::Graph
+oneWeightGraph(const ir::Attrs &attrs, bool weightFirst)
+{
+    ir::GraphBuilder b;
+    ir::ValueId w = 0, x = 0;
+    if (weightFirst) {
+        w = b.constant("w", ir::Shape({8, 8}), ir::DType::F16, attrs);
+        x = b.input("x", ir::Shape({1, 8}));
+    } else {
+        x = b.input("x", ir::Shape({1, 8}));
+        w = b.constant("w", ir::Shape({8, 8}), ir::DType::F16, attrs);
+    }
+    b.markOutput(b.matmul(x, w));
+    return b.finish();
+}
+
+TEST(WeightStore, RenumberedGraphsShareEntriesAndChangedFoldSaltsMiss)
+{
+    ir::Attrs folded;
+    folded.set("salt", 77);
+    folded.set("bnfold_scale_salt", 5);
+    folded.set("bnfold_scale_count", 4);
+    ir::Attrs refolded = folded;
+    refolded.set("bnfold_scale_salt", 6);
+
+    auto dev = device::adreno740();
+    const exec::CpuBackend be(exec::cpuBackendOptionsFor(dev, 1, freshSeed()));
+    auto compile = [&dev](const ir::Attrs &attrs, bool weightFirst) {
+        return core::compileStage(oneWeightGraph(attrs, weightFirst), dev,
+                                  3);
+    };
+    const auto planA = compile(folded, false);
+    const auto planB = compile(folded, true);
+    const auto planC = compile(refolded, false);
+    ASSERT_NE(planA.graph.inputIds(), planB.graph.inputIds());
+
+    const auto a = be.prepare(planA);
+    EXPECT_EQ(a->weightsSynthesized, 1);
+    EXPECT_EQ(be.prepare(planB)->weightsSynthesized, 0);
+    EXPECT_EQ(be.prepare(planC)->weightsSynthesized, 1);
+
+    // The key is the recipe: equal recipes, equal bytes.
+    const exec::Executor ex(be.options().seed);
+    auto weightOf = [](const ir::Graph &g) {
+        for (const ir::Node &n : g.nodes())
+            if (n.kind == ir::OpKind::Constant)
+                return n.output;
+        return ir::ValueId(-1);
+    };
+    const auto tA = ex.synthesizeConstant(planA.graph, weightOf(planA.graph));
+    const auto tB = ex.synthesizeConstant(planB.graph, weightOf(planB.graph));
+    EXPECT_EQ(0, std::memcmp(tA.data(), tB.data(), 64 * sizeof(float)));
 }
 
 } // namespace

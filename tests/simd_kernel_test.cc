@@ -201,7 +201,7 @@ fill(std::vector<float> &v, std::uint32_t seed)
     }
 }
 
-/** Pack a row-major tensor into `layout` (the relayoutCopy the
+/** Pack a row-major tensor into `layout` (the pack copy the
  *  backend would otherwise run), padding zero-filled. */
 std::vector<float>
 packTensor(const std::vector<float> &src, const ir::Shape &shape,

@@ -86,12 +86,13 @@ checkGather(const IndexMap &map, const Layout &srcL,
 {
     const auto src = randomBuffer(srcL.storageElements(srcShape), 7);
     const auto want = referenceGather(map, src, srcL, srcShape);
+    const StridedCopy cp = planStridedCopy(
+        map, srcL, srcShape, Layout::rowMajor(map.outputShape().rank()));
     std::vector<float> first;
     for (int threads : {1, 2, 4}) {
         ParallelRunner par(threads);
         std::vector<float> got(want.size(), -7.0f);
-        materializeMapped(map, src.data(), srcL, srcShape, got.data(),
-                          par);
+        runStridedCopy(cp, src.data(), got.data(), par);
         EXPECT_EQ(got, want) << what << " threads " << threads;
         if (first.empty())
             first = got;
@@ -99,12 +100,11 @@ checkGather(const IndexMap &map, const Layout &srcL,
                                  got.size() * sizeof(float)))
             << what << " differs at " << threads << " threads";
     }
-    return planStridedCopy(map, srcL, srcShape,
-                           Layout::rowMajor(map.outputShape().rank()));
+    return cp;
 }
 
 /**
- * relayoutCopy srcL -> dstL -> srcL at 1, 2 and 4 threads: the
+ * planRelayout srcL -> dstL -> srcL at 1, 2 and 4 threads: the
  * destination must hold every element where physicalOffset says, the
  * round trip must restore every logical element bit for bit, and the
  * destination bytes must not depend on the thread count.
@@ -120,8 +120,10 @@ checkRoundTrip(const Shape &shape, const Layout &srcL, const Layout &dstL,
         std::vector<float> mid(
             static_cast<std::size_t>(dstL.storageElements(shape)), 0.0f);
         std::vector<float> back(src.size(), 0.0f);
-        relayoutCopy(shape, src.data(), srcL, mid.data(), dstL, par);
-        relayoutCopy(shape, mid.data(), dstL, back.data(), srcL, par);
+        runStridedCopy(planRelayout(shape, srcL, dstL), src.data(),
+                       mid.data(), par);
+        runStridedCopy(planRelayout(shape, dstL, srcL), mid.data(),
+                       back.data(), par);
         for (std::int64_t i = 0; i < shape.numElements(); ++i) {
             const auto c = ir::delinearize(i, shape);
             const auto so = static_cast<std::size_t>(
