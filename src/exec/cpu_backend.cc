@@ -769,7 +769,7 @@ PlanRunner::evalNodeBlocked(const Kernel &k, const Node &node)
             x, gamma,
             gamma ? shapeOf(node.inputs[1]).numElements() : 1, beta,
             beta ? shapeOf(node.inputs[2]).numElements() : 1, out,
-            os.numElements() / inner, inner, par_);
+            os.numElements() / inner, inner, simd_, par_);
         locals_[node.output] = {out, true};
         return;
       }
@@ -777,7 +777,9 @@ PlanRunner::evalNodeBlocked(const Kernel &k, const Node &node)
         const float *x = resolveLocal(k, node.inputs[0]);
         const std::int64_t hw = os.dim(2) * os.dim(3);
         float *out = alloc(os.numElements());
-        blockedInstanceNorm(x, out, os.dim(0) * os.dim(1), hw, par_);
+        // One row per (n, c) plane, no affine.
+        blockedLayerNorm(x, nullptr, 1, nullptr, 1, out,
+                         os.dim(0) * os.dim(1), hw, simd_, par_);
         locals_[node.output] = {out, true};
         return;
       }
@@ -801,7 +803,7 @@ PlanRunner::evalNodeBlocked(const Kernel &k, const Node &node)
         if (axis < 0)
             axis += os.rank();
         float *out = alloc(os.numElements());
-        blockedSoftmax(x, out, os, axis, par_);
+        blockedSoftmax(x, out, os, axis, simd_, par_);
         locals_[node.output] = {out, true};
         return;
       }
@@ -848,8 +850,10 @@ PlanRunner::evalNodeBlocked(const Kernel &k, const Node &node)
             if (bias != nullptr) // bias[e % (n * m)], or per batch
                 scaleBias.push_back({OpKind::Add, 1.0f, bias, 1,
                                      (bias_batched ? batch : 1) * n * m});
-            runEltwiseChain(score, score, batch * n * m, scaleBias, par_);
-            blockedSoftmax(score, score, Shape({batch, n, m}), 2, par_);
+            runEltwiseChain(score, score, batch * n * m, scaleBias, simd_,
+                            par_);
+            blockedSoftmax(score, score, Shape({batch, n, m}), 2, simd_,
+                           par_);
             blockedMatMul({score, m, 1, n * m, nullptr},
                           {v, dv, 1, m * dv, nullptr},
                           {out, dv, 1, n * dv, nullptr}, batch, n, dv,
@@ -978,7 +982,7 @@ PlanRunner::runComputeKernel(const Kernel &k)
         if (!steps.empty()) {
             SM_ASSERT(buf.owned, "epilogue over a borrowed buffer");
             runEltwiseChain(src, const_cast<float *>(buf.data), n, steps,
-                            par_);
+                            simd_, par_);
             stats_.fusedEpilogueOps +=
                 static_cast<int>(steps.size() - headSteps);
             locals_.erase(node.output);

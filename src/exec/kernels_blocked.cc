@@ -289,6 +289,16 @@ gemmBlockAvx2(const float *a, i64 ars, i64 acs, const float *b, i64 brs,
                         cOff, ccs, rows, n - nv, k0, k1, first);
 }
 
+constexpr __mmask16 kAllLanes16 = 0xFFFF;
+
+/** The first `lanes` of 16 (all of them when lanes >= 16). */
+inline __mmask16
+avx512Mask(i64 lanes)
+{
+    return lanes >= 16 ? kAllLanes16
+                       : static_cast<__mmask16>((1u << lanes) - 1);
+}
+
 __attribute__((target("avx512f"))) inline __m512
 avx512LoadC(const float *p, i64 ccs, __mmask16 mask)
 {
@@ -395,10 +405,7 @@ gemmBlockAvx512(const float *a, i64 ars, i64 acs, const float *b,
         }
     }
     for (i64 j0 = nv; j0 < n; j0 += 16) {
-        const int lanes = static_cast<int>(std::min<i64>(16, n - j0));
-        const __mmask16 mask =
-            lanes == 16 ? static_cast<__mmask16>(0xFFFF)
-                        : static_cast<__mmask16>((1u << lanes) - 1);
+        const __mmask16 mask = avx512Mask(n - j0);
         for (i64 r = 0; r < rows; ++r) {
             const float *ar = a + r * ars;
             float *cr = c + cOff[r] + j0 * ccs;
@@ -457,10 +464,7 @@ dotAvx512(const float *x, const float *y, i64 k)
                              _mm512_loadu_ps(y + kk + 16), s1);
     }
     for (; kk < k; kk += 16) {
-        const int lanes = static_cast<int>(std::min<i64>(16, k - kk));
-        const __mmask16 mask =
-            lanes == 16 ? static_cast<__mmask16>(0xFFFF)
-                        : static_cast<__mmask16>((1u << lanes) - 1);
+        const __mmask16 mask = avx512Mask(k - kk);
         s0 = _mm512_fmadd_ps(_mm512_maskz_loadu_ps(mask, x + kk),
                              _mm512_maskz_loadu_ps(mask, y + kk), s0);
     }
@@ -706,6 +710,570 @@ sanitizeTiles(const TileParams &tiles)
     return t;
 }
 
+// -------------------------------------------------------------------
+// Vector exp, element-wise transcendentals and row reductions.
+//
+// One polynomial exp per x86 level: Cephes range reduction
+// (x = n ln2 + r with |r| <= ln2 / 2, ln2 split into two constants),
+// the Cephes expf polynomial in r, and 2^n applied to the exponent
+// field in a single rounding, so results underflow gradually.  Inputs
+// are clamped to [-104, 89] with NaN passing through the clamp, so
+// exp(-inf) == +0, exp(+inf) == +inf and NaN stays NaN.  The error is
+// a few ulp (EltwiseSimd.TranscendentalsWithinBound pins the bound).
+//
+// Every loop covers its tail with a masked load and store through the
+// same vector code, so an element's bytes depend only on its input
+// (its row or column, for the reductions) and the level, never on
+// where a block, chunk or thread range starts.  Row sums keep one
+// accumulator per lane and fold the lanes in ascending order.  The
+// scalar level keeps exec/kernels.cc's libm formulas and loop order;
+// NEON runs those scalar loops too.
+// -------------------------------------------------------------------
+
+constexpr float kNormEps = 1e-5f;
+
+#if SMARTMEM_SIMD_X86
+
+constexpr float kExpLo = -104.0f; // exp rounds to +0 below
+constexpr float kExpHi = 89.0f;   // exp overflows to +inf above
+constexpr float kLog2e = 1.44269504088896341f;
+constexpr float kLn2Hi = 0.693359375f; // ln2 = kLn2Hi + kLn2Lo
+constexpr float kLn2Lo = -2.12194440e-4f;
+/** 1.5 * 2^23: v + kRoundMagic holds round(v) in its low mantissa
+ *  bits for |v| < 2^22. */
+constexpr float kRoundMagic = 12582912.0f;
+constexpr float kExpPoly[6] = {1.9875691500e-4f, 1.3981999507e-3f,
+                               8.3334519073e-3f, 4.1665795894e-2f,
+                               1.6666665459e-1f, 5.0000001201e-1f};
+/** Gelu(x) = 0.5 x (1 + tanh(u)) = x / (1 + exp(-2u)) with
+ *  u = 0.7978845608 (x + 0.044715 x^3). */
+constexpr float kGeluExp = -2.0f * 0.7978845608f;
+constexpr float kGeluCube = 0.044715f;
+/** Cephes tanhf: x + x^3 P(x^2) below kTanhSmall, where 1 - exp(-2|x|)
+ *  would cancel; the exp form above. */
+constexpr float kTanhSmall = 0.625f;
+constexpr float kTanhPoly[5] = {-5.70498872745e-3f, 2.06390887954e-2f,
+                                -5.37397155531e-2f, 1.33314422036e-1f,
+                                -3.33332819422e-1f};
+
+// GCC 12's unmasked AVX-512 min/max/scalef pass _mm512_undefined_ps()
+// as the merge source and trip -Wmaybe-uninitialized; the code below
+// uses the merge-masked forms under kAllLanes16, which compute the same.
+
+__attribute__((target("avx512f"))) inline __m512
+expAvx512(__m512 x)
+{
+    // max/min return their second operand when either is NaN.
+    x = _mm512_mask_max_ps(x, kAllLanes16, _mm512_set1_ps(kExpLo), x);
+    x = _mm512_mask_min_ps(x, kAllLanes16, _mm512_set1_ps(kExpHi), x);
+    const __m512 magic = _mm512_set1_ps(kRoundMagic);
+    const __m512 n = _mm512_sub_ps(
+        _mm512_fmadd_ps(x, _mm512_set1_ps(kLog2e), magic), magic);
+    __m512 r = _mm512_fnmadd_ps(n, _mm512_set1_ps(kLn2Hi), x);
+    r = _mm512_fnmadd_ps(n, _mm512_set1_ps(kLn2Lo), r);
+    __m512 p = _mm512_set1_ps(kExpPoly[0]);
+    for (int i = 1; i < 6; ++i)
+        p = _mm512_fmadd_ps(p, r, _mm512_set1_ps(kExpPoly[i]));
+    p = _mm512_fmadd_ps(p, _mm512_mul_ps(r, r),
+                        _mm512_add_ps(r, _mm512_set1_ps(1.0f)));
+    return _mm512_mask_scalef_ps(p, kAllLanes16, p, n);
+}
+
+/** One Gelu/Silu/Sigmoid/Tanh/Exp step on 16 lanes. */
+__attribute__((target("avx512f"))) inline __m512
+transcendentalAvx512(ir::OpKind kind, __m512 x)
+{
+    const __m512 one = _mm512_set1_ps(1.0f);
+    const __m512 negX = _mm512_sub_ps(_mm512_setzero_ps(), x);
+    switch (kind) {
+      case ir::OpKind::Gelu: {
+        const __m512 u = _mm512_fmadd_ps(
+            _mm512_mul_ps(_mm512_mul_ps(x, x),
+                          _mm512_set1_ps(kGeluCube)),
+            x, x);
+        return _mm512_div_ps(
+            x, _mm512_add_ps(one, expAvx512(_mm512_mul_ps(
+                                      u, _mm512_set1_ps(kGeluExp)))));
+      }
+      case ir::OpKind::Silu:
+        return _mm512_div_ps(x, _mm512_add_ps(one, expAvx512(negX)));
+      case ir::OpKind::Sigmoid:
+        return _mm512_div_ps(one, _mm512_add_ps(one, expAvx512(negX)));
+      case ir::OpKind::Tanh: {
+        // |x| >= kTanhSmall: tanh|x| = (1 - e) / (1 + e) with
+        // e = exp(-2|x|), given x's sign; below, the odd polynomial.
+        const __m512i bits = _mm512_castps_si512(x);
+        const __m512i sign =
+            _mm512_and_si512(bits, _mm512_set1_epi32(INT32_MIN));
+        const __m512 ax = _mm512_castsi512_ps(
+            _mm512_and_si512(bits, _mm512_set1_epi32(INT32_MAX)));
+        const __m512 e =
+            expAvx512(_mm512_mul_ps(ax, _mm512_set1_ps(-2.0f)));
+        const __m512 t = _mm512_div_ps(_mm512_sub_ps(one, e),
+                                       _mm512_add_ps(one, e));
+        const __m512 big = _mm512_castsi512_ps(
+            _mm512_or_si512(_mm512_castps_si512(t), sign));
+        const __m512 z = _mm512_mul_ps(x, x);
+        __m512 p = _mm512_set1_ps(kTanhPoly[0]);
+        for (int i = 1; i < 5; ++i)
+            p = _mm512_fmadd_ps(p, z, _mm512_set1_ps(kTanhPoly[i]));
+        const __m512 small = _mm512_fmadd_ps(_mm512_mul_ps(p, z), x, x);
+        return _mm512_mask_blend_ps(
+            _mm512_cmp_ps_mask(ax, _mm512_set1_ps(kTanhSmall), _CMP_LT_OQ),
+            big, small);
+      }
+      default:
+        return expAvx512(x);
+    }
+}
+
+__attribute__((target("avx512f"))) void
+transcendentalBlockAvx512(ir::OpKind kind, const float *in, float *out,
+                          i64 len)
+{
+    for (i64 i = 0; i < len; i += 16) {
+        const __mmask16 m = avx512Mask(len - i);
+        _mm512_mask_storeu_ps(
+            out + i, m,
+            transcendentalAvx512(kind, _mm512_maskz_loadu_ps(m, in + i)));
+    }
+}
+
+/** The lanes' sum, folded in ascending lane order. */
+__attribute__((target("avx512f"))) inline float
+foldAvx512(__m512 v)
+{
+    alignas(64) float lanes[16];
+    _mm512_store_ps(lanes, v);
+    float acc = 0.0f;
+    for (float l : lanes)
+        acc += l;
+    return acc;
+}
+
+/** out[i] = exp(in[i] - shift); returns acc plus their lane-folded
+ *  sum. */
+__attribute__((target("avx512f"))) float
+expShiftedAvx512(const float *in, float *out, i64 len, float shift,
+                 float acc)
+{
+    const __m512 vs = _mm512_set1_ps(shift);
+    __m512 sum = _mm512_setzero_ps();
+    for (i64 i = 0; i < len; i += 16) {
+        const __mmask16 m = avx512Mask(len - i);
+        const __m512 e = expAvx512(
+            _mm512_sub_ps(_mm512_maskz_loadu_ps(m, in + i), vs));
+        _mm512_mask_storeu_ps(out + i, m, e);
+        sum = _mm512_mask_add_ps(sum, m, sum, e);
+    }
+    return acc + foldAvx512(sum);
+}
+
+/** Softmax of one [extent, inner] slice over its extent axis: a
+ *  contiguous row when inner == 1, else 16 columns per vector. */
+__attribute__((target("avx512f"))) void
+softmaxSliceAvx512(const float *x, float *out, i64 extent, i64 inner)
+{
+    if (inner == 1) {
+        __m512 mx = _mm512_set1_ps(-1e30f);
+        for (i64 e = 0; e < extent; e += 16) {
+            const __mmask16 m = avx512Mask(extent - e);
+            mx = _mm512_mask_max_ps(mx, m, mx,
+                                    _mm512_maskz_loadu_ps(m, x + e));
+        }
+        alignas(64) float lanes[16];
+        _mm512_store_ps(lanes, mx);
+        float rowMax = lanes[0];
+        for (float l : lanes)
+            rowMax = std::max(rowMax, l);
+        const __m512 denom = _mm512_set1_ps(
+            expShiftedAvx512(x, out, extent, rowMax, 0.0f));
+        for (i64 e = 0; e < extent; e += 16) {
+            const __mmask16 m = avx512Mask(extent - e);
+            _mm512_mask_storeu_ps(
+                out + e, m,
+                _mm512_div_ps(_mm512_maskz_loadu_ps(m, out + e), denom));
+        }
+        return;
+    }
+    for (i64 i = 0; i < inner; i += 16) {
+        const __mmask16 m = avx512Mask(inner - i);
+        __m512 mx = _mm512_set1_ps(-1e30f);
+        for (i64 e = 0; e < extent; ++e)
+            mx = _mm512_mask_max_ps(
+                mx, kAllLanes16, mx,
+                _mm512_maskz_loadu_ps(m, x + e * inner + i));
+        __m512 denom = _mm512_setzero_ps();
+        for (i64 e = 0; e < extent; ++e) {
+            const __m512 v = expAvx512(_mm512_sub_ps(
+                _mm512_maskz_loadu_ps(m, x + e * inner + i), mx));
+            _mm512_mask_storeu_ps(out + e * inner + i, m, v);
+            denom = _mm512_add_ps(denom, v);
+        }
+        for (i64 e = 0; e < extent; ++e) {
+            float *o = out + e * inner + i;
+            _mm512_mask_storeu_ps(
+                o, m, _mm512_div_ps(_mm512_maskz_loadu_ps(m, o), denom));
+        }
+    }
+}
+
+/** out = (x - mean) * rsqrt(var + eps) [* gamma] [+ beta] over one
+ *  row; gamma/beta are row-length or null. */
+__attribute__((target("avx512f"))) void
+normalizeRowAvx512(const float *x, float *out, i64 len,
+                   const float *gamma, const float *beta)
+{
+    __m512 acc = _mm512_setzero_ps();
+    for (i64 i = 0; i < len; i += 16)
+        acc = _mm512_add_ps(
+            acc, _mm512_maskz_loadu_ps(avx512Mask(len - i), x + i));
+    const __m512 mean =
+        _mm512_set1_ps(foldAvx512(acc) / static_cast<float>(len));
+    acc = _mm512_setzero_ps();
+    for (i64 i = 0; i < len; i += 16) {
+        const __mmask16 m = avx512Mask(len - i);
+        const __m512 d =
+            _mm512_sub_ps(_mm512_maskz_loadu_ps(m, x + i), mean);
+        acc = _mm512_mask3_fmadd_ps(d, d, acc, m);
+    }
+    const float var = foldAvx512(acc) / static_cast<float>(len);
+    const __m512 inv = _mm512_set1_ps(1.0f / std::sqrt(var + kNormEps));
+    for (i64 i = 0; i < len; i += 16) {
+        const __mmask16 m = avx512Mask(len - i);
+        __m512 v = _mm512_mul_ps(
+            _mm512_sub_ps(_mm512_maskz_loadu_ps(m, x + i), mean), inv);
+        if (gamma != nullptr)
+            v = _mm512_mul_ps(v, _mm512_maskz_loadu_ps(m, gamma + i));
+        if (beta != nullptr)
+            v = _mm512_add_ps(v, _mm512_maskz_loadu_ps(m, beta + i));
+        _mm512_mask_storeu_ps(out + i, m, v);
+    }
+}
+
+/** Lane mask of the first `lanes` of 8, for maskload/maskstore. */
+__attribute__((target("avx2,fma"))) inline __m256i
+avx2Mask(i64 lanes)
+{
+    return _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(static_cast<int>(std::min<i64>(lanes, 8))),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+__attribute__((target("avx2,fma"))) inline __m256
+expAvx2(__m256 x)
+{
+    // max/min return their second operand when either is NaN.
+    x = _mm256_max_ps(_mm256_set1_ps(kExpLo), x);
+    x = _mm256_min_ps(_mm256_set1_ps(kExpHi), x);
+    const __m256 magic = _mm256_set1_ps(kRoundMagic);
+    const __m256 t = _mm256_fmadd_ps(x, _mm256_set1_ps(kLog2e), magic);
+    const __m256 n = _mm256_sub_ps(t, magic);
+    __m256 r = _mm256_fnmadd_ps(n, _mm256_set1_ps(kLn2Hi), x);
+    r = _mm256_fnmadd_ps(n, _mm256_set1_ps(kLn2Lo), r);
+    __m256 p = _mm256_set1_ps(kExpPoly[0]);
+    for (int i = 1; i < 6; ++i)
+        p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(kExpPoly[i]));
+    p = _mm256_fmadd_ps(p, _mm256_mul_ps(r, r),
+                        _mm256_add_ps(r, _mm256_set1_ps(1.0f)));
+    // 2^n as 2^(n >> 1) * 2^(n - (n >> 1)): both factors are normal
+    // for n in [-151, 129], and only the second product rounds.
+    const __m256i ni = _mm256_sub_epi32(_mm256_castps_si256(t),
+                                        _mm256_castps_si256(magic));
+    const __m256i n1 = _mm256_srai_epi32(ni, 1);
+    const __m256i bias = _mm256_set1_epi32(127);
+    const __m256 s1 = _mm256_castsi256_ps(
+        _mm256_slli_epi32(_mm256_add_epi32(n1, bias), 23));
+    const __m256 s2 = _mm256_castsi256_ps(_mm256_slli_epi32(
+        _mm256_add_epi32(_mm256_sub_epi32(ni, n1), bias), 23));
+    return _mm256_mul_ps(_mm256_mul_ps(p, s1), s2);
+}
+
+/** One Gelu/Silu/Sigmoid/Tanh/Exp step on 8 lanes. */
+__attribute__((target("avx2,fma"))) inline __m256
+transcendentalAvx2(ir::OpKind kind, __m256 x)
+{
+    const __m256 one = _mm256_set1_ps(1.0f);
+    const __m256 negX = _mm256_sub_ps(_mm256_setzero_ps(), x);
+    switch (kind) {
+      case ir::OpKind::Gelu: {
+        const __m256 u = _mm256_fmadd_ps(
+            _mm256_mul_ps(_mm256_mul_ps(x, x),
+                          _mm256_set1_ps(kGeluCube)),
+            x, x);
+        return _mm256_div_ps(
+            x, _mm256_add_ps(one, expAvx2(_mm256_mul_ps(
+                                      u, _mm256_set1_ps(kGeluExp)))));
+      }
+      case ir::OpKind::Silu:
+        return _mm256_div_ps(x, _mm256_add_ps(one, expAvx2(negX)));
+      case ir::OpKind::Sigmoid:
+        return _mm256_div_ps(one, _mm256_add_ps(one, expAvx2(negX)));
+      case ir::OpKind::Tanh: {
+        // |x| >= kTanhSmall: tanh|x| = (1 - e) / (1 + e) with
+        // e = exp(-2|x|), given x's sign; below, the odd polynomial.
+        const __m256 signBit = _mm256_set1_ps(-0.0f);
+        const __m256 ax = _mm256_andnot_ps(signBit, x);
+        const __m256 e =
+            expAvx2(_mm256_mul_ps(ax, _mm256_set1_ps(-2.0f)));
+        const __m256 t = _mm256_div_ps(_mm256_sub_ps(one, e),
+                                       _mm256_add_ps(one, e));
+        const __m256 big = _mm256_or_ps(t, _mm256_and_ps(signBit, x));
+        const __m256 z = _mm256_mul_ps(x, x);
+        __m256 p = _mm256_set1_ps(kTanhPoly[0]);
+        for (int i = 1; i < 5; ++i)
+            p = _mm256_fmadd_ps(p, z, _mm256_set1_ps(kTanhPoly[i]));
+        const __m256 small = _mm256_fmadd_ps(_mm256_mul_ps(p, z), x, x);
+        return _mm256_blendv_ps(
+            big, small,
+            _mm256_cmp_ps(ax, _mm256_set1_ps(kTanhSmall), _CMP_LT_OQ));
+      }
+      default:
+        return expAvx2(x);
+    }
+}
+
+__attribute__((target("avx2,fma"))) void
+transcendentalBlockAvx2(ir::OpKind kind, const float *in, float *out,
+                        i64 len)
+{
+    for (i64 i = 0; i < len; i += 8) {
+        const __m256i m = avx2Mask(len - i);
+        _mm256_maskstore_ps(
+            out + i, m,
+            transcendentalAvx2(kind, _mm256_maskload_ps(in + i, m)));
+    }
+}
+
+/** The lanes' sum, folded in ascending lane order. */
+__attribute__((target("avx2,fma"))) inline float
+foldAvx2(__m256 v)
+{
+    alignas(32) float lanes[8];
+    _mm256_store_ps(lanes, v);
+    float acc = 0.0f;
+    for (float l : lanes)
+        acc += l;
+    return acc;
+}
+
+/** out[i] = exp(in[i] - shift); returns acc plus their lane-folded
+ *  sum. */
+__attribute__((target("avx2,fma"))) float
+expShiftedAvx2(const float *in, float *out, i64 len, float shift,
+               float acc)
+{
+    const __m256 vs = _mm256_set1_ps(shift);
+    __m256 sum = _mm256_setzero_ps();
+    for (i64 i = 0; i < len; i += 8) {
+        const __m256i m = avx2Mask(len - i);
+        const __m256 e =
+            expAvx2(_mm256_sub_ps(_mm256_maskload_ps(in + i, m), vs));
+        _mm256_maskstore_ps(out + i, m, e);
+        sum = _mm256_add_ps(sum,
+                            _mm256_and_ps(e, _mm256_castsi256_ps(m)));
+    }
+    return acc + foldAvx2(sum);
+}
+
+/** Softmax of one [extent, inner] slice over its extent axis: a
+ *  contiguous row when inner == 1, else 8 columns per vector. */
+__attribute__((target("avx2,fma"))) void
+softmaxSliceAvx2(const float *x, float *out, i64 extent, i64 inner)
+{
+    if (inner == 1) {
+        __m256 mx = _mm256_set1_ps(-1e30f);
+        for (i64 e = 0; e < extent; e += 8) {
+            const __m256i m = avx2Mask(extent - e);
+            mx = _mm256_blendv_ps(
+                mx, _mm256_max_ps(mx, _mm256_maskload_ps(x + e, m)),
+                _mm256_castsi256_ps(m));
+        }
+        alignas(32) float lanes[8];
+        _mm256_store_ps(lanes, mx);
+        float rowMax = lanes[0];
+        for (float l : lanes)
+            rowMax = std::max(rowMax, l);
+        const __m256 denom = _mm256_set1_ps(
+            expShiftedAvx2(x, out, extent, rowMax, 0.0f));
+        for (i64 e = 0; e < extent; e += 8) {
+            const __m256i m = avx2Mask(extent - e);
+            _mm256_maskstore_ps(
+                out + e, m,
+                _mm256_div_ps(_mm256_maskload_ps(out + e, m), denom));
+        }
+        return;
+    }
+    for (i64 i = 0; i < inner; i += 8) {
+        const __m256i m = avx2Mask(inner - i);
+        __m256 mx = _mm256_set1_ps(-1e30f);
+        for (i64 e = 0; e < extent; ++e)
+            mx = _mm256_max_ps(mx,
+                               _mm256_maskload_ps(x + e * inner + i, m));
+        __m256 denom = _mm256_setzero_ps();
+        for (i64 e = 0; e < extent; ++e) {
+            const __m256 v = expAvx2(_mm256_sub_ps(
+                _mm256_maskload_ps(x + e * inner + i, m), mx));
+            _mm256_maskstore_ps(out + e * inner + i, m, v);
+            denom = _mm256_add_ps(denom, v);
+        }
+        for (i64 e = 0; e < extent; ++e) {
+            float *o = out + e * inner + i;
+            _mm256_maskstore_ps(
+                o, m, _mm256_div_ps(_mm256_maskload_ps(o, m), denom));
+        }
+    }
+}
+
+/** out = (x - mean) * rsqrt(var + eps) [* gamma] [+ beta] over one
+ *  row; gamma/beta are row-length or null. */
+__attribute__((target("avx2,fma"))) void
+normalizeRowAvx2(const float *x, float *out, i64 len, const float *gamma,
+                 const float *beta)
+{
+    __m256 acc = _mm256_setzero_ps();
+    for (i64 i = 0; i < len; i += 8)
+        acc = _mm256_add_ps(acc,
+                            _mm256_maskload_ps(x + i, avx2Mask(len - i)));
+    const __m256 mean =
+        _mm256_set1_ps(foldAvx2(acc) / static_cast<float>(len));
+    acc = _mm256_setzero_ps();
+    for (i64 i = 0; i < len; i += 8) {
+        const __m256i m = avx2Mask(len - i);
+        const __m256 d = _mm256_and_ps(
+            _mm256_sub_ps(_mm256_maskload_ps(x + i, m), mean),
+            _mm256_castsi256_ps(m));
+        acc = _mm256_fmadd_ps(d, d, acc);
+    }
+    const float var = foldAvx2(acc) / static_cast<float>(len);
+    const __m256 inv = _mm256_set1_ps(1.0f / std::sqrt(var + kNormEps));
+    for (i64 i = 0; i < len; i += 8) {
+        const __m256i m = avx2Mask(len - i);
+        __m256 v = _mm256_mul_ps(
+            _mm256_sub_ps(_mm256_maskload_ps(x + i, m), mean), inv);
+        if (gamma != nullptr)
+            v = _mm256_mul_ps(v, _mm256_maskload_ps(gamma + i, m));
+        if (beta != nullptr)
+            v = _mm256_add_ps(v, _mm256_maskload_ps(beta + i, m));
+        _mm256_maskstore_ps(out + i, m, v);
+    }
+}
+
+#endif // SMARTMEM_SIMD_X86
+
+/** The reference's softmax loops over one [extent, inner] slice. */
+void
+softmaxSliceScalar(const float *x, float *out, i64 extent, i64 inner)
+{
+    for (i64 i = 0; i < inner; ++i) {
+        const float *xp = x + i;
+        float *op = out + i;
+        float mx = -1e30f;
+        for (i64 e = 0; e < extent; ++e)
+            mx = std::max(mx, xp[e * inner]);
+        float denom = 0;
+        for (i64 e = 0; e < extent; ++e)
+            denom += std::exp(xp[e * inner] - mx);
+        for (i64 e = 0; e < extent; ++e)
+            op[e * inner] = std::exp(xp[e * inner] - mx) / denom;
+    }
+}
+
+/** The reference's LayerNorm loops over one row. */
+void
+normalizeRowScalar(const float *xp, float *op, i64 len,
+                   const float *gamma, const float *beta)
+{
+    float sum = 0;
+    for (i64 i = 0; i < len; ++i)
+        sum += xp[i];
+    const float mean = sum / static_cast<float>(len);
+    float var = 0;
+    for (i64 i = 0; i < len; ++i)
+        var += (xp[i] - mean) * (xp[i] - mean);
+    var /= static_cast<float>(len);
+    const float inv = 1.0f / std::sqrt(var + kNormEps);
+    for (i64 i = 0; i < len; ++i) {
+        float v = (xp[i] - mean) * inv;
+        if (gamma)
+            v *= gamma[i];
+        if (beta)
+            v += beta[i];
+        op[i] = v;
+    }
+}
+
+/** out[i] = exp(in[i] - shift), adding each to acc in ascending
+ *  order; returns acc. */
+float
+expShiftedScalar(const float *in, float *out, i64 len, float shift,
+                 float acc)
+{
+    for (i64 i = 0; i < len; ++i) {
+        const float e = std::exp(in[i] - shift);
+        out[i] = e;
+        acc += e;
+    }
+    return acc;
+}
+
+using TranscendentalFn = void (*)(ir::OpKind, const float *, float *,
+                                  i64);
+using ExpShiftedFn = float (*)(const float *, float *, i64, float, float);
+using SoftmaxSliceFn = void (*)(const float *, float *, i64, i64);
+using NormalizeRowFn = void (*)(const float *, float *, i64,
+                                const float *, const float *);
+
+/** The vector Gelu/Silu/Sigmoid/Tanh/Exp block for `simd`; null at
+ *  the levels that keep the libm formulas. */
+TranscendentalFn
+transcendentalKernel(SimdLevel simd)
+{
+    switch (simd) {
+#if SMARTMEM_SIMD_X86
+      case SimdLevel::Avx512: return transcendentalBlockAvx512;
+      case SimdLevel::Avx2: return transcendentalBlockAvx2;
+#endif
+      default: return nullptr;
+    }
+}
+
+ExpShiftedFn
+expShiftedKernel(SimdLevel simd)
+{
+    switch (simd) {
+#if SMARTMEM_SIMD_X86
+      case SimdLevel::Avx512: return expShiftedAvx512;
+      case SimdLevel::Avx2: return expShiftedAvx2;
+#endif
+      default: return expShiftedScalar;
+    }
+}
+
+SoftmaxSliceFn
+softmaxSliceKernel(SimdLevel simd)
+{
+    switch (simd) {
+#if SMARTMEM_SIMD_X86
+      case SimdLevel::Avx512: return softmaxSliceAvx512;
+      case SimdLevel::Avx2: return softmaxSliceAvx2;
+#endif
+      default: return softmaxSliceScalar;
+    }
+}
+
+NormalizeRowFn
+normalizeRowKernel(SimdLevel simd)
+{
+    switch (simd) {
+#if SMARTMEM_SIMD_X86
+      case SimdLevel::Avx512: return normalizeRowAvx512;
+      case SimdLevel::Avx2: return normalizeRowAvx2;
+#endif
+      default: return normalizeRowScalar;
+    }
+}
+
 } // namespace
 
 void
@@ -774,6 +1342,7 @@ blockedFusedAttention(const float *q, const float *k, const float *v,
     const i64 tasks = batch * row_blocks;
     float (*const dot)(const float *, const float *, i64) =
         dotKernel(simd);
+    const ExpShiftedFn expShifted = expShiftedKernel(simd);
     // Query rows are processed in quads: one key/V block sweep feeds
     // four rows' online-softmax states, so every K row is reused four
     // times from L1 and the V fold runs as a 4-row register-tiled
@@ -832,11 +1401,8 @@ blockedFusedAttention(const float *q, const float *k, const float *v,
                                 arow[d] *= rs;
                             mx[r] = bmx;
                         }
-                        for (i64 j = 0; j < cnt; ++j) {
-                            const float e = std::exp(srow[j] - mx[r]);
-                            srow[j] = e;
-                            denom[r] += e;
-                        }
+                        denom[r] =
+                            expShifted(srow, srow, cnt, mx[r], denom[r]);
                     }
                     gemmAccum(simd, sbuf.data(), jBlock, vp + j0 * dv,
                               dv, acc.data(), accOff, rows, dv, cnt);
@@ -993,7 +1559,8 @@ blockedDepthwiseConv2d(const float *x, const PlaneLayout &xl,
 }
 
 // -------------------------------------------------------------------
-// Element-wise chains (formulas identical to exec/kernels.cc)
+// Element-wise chains (formulas identical to exec/kernels.cc at the
+// scalar level)
 // -------------------------------------------------------------------
 
 namespace {
@@ -1049,10 +1616,22 @@ binaryBlock(const EltwiseStep &s, const float *in, float *out,
 
 /** One step over outputs [e0, e0 + len); in may alias out. */
 void
-applyStep(const EltwiseStep &s, const float *in, float *out,
-          std::int64_t e0, std::int64_t len)
+applyStep(const EltwiseStep &s, TranscendentalFn transcendental,
+          const float *in, float *out, std::int64_t e0, std::int64_t len)
 {
     using ir::OpKind;
+    switch (s.kind) {
+      case OpKind::Gelu:
+      case OpKind::Silu:
+      case OpKind::Sigmoid:
+      case OpKind::Tanh:
+      case OpKind::Exp:
+        if (transcendental != nullptr)
+            return transcendental(s.kind, in, out, len);
+        break;
+      default:
+        break;
+    }
     auto each = [&](auto f) { unaryBlock(in, out, len, f); };
     auto pair = [&](auto op) { binaryBlock(s, in, out, e0, len, op); };
     const float scale = s.scale;
@@ -1137,16 +1716,18 @@ binaryStep(ir::OpKind kind, const float *other,
 
 void
 runEltwiseChain(const float *src, float *dst, std::int64_t n,
-                const std::vector<EltwiseStep> &steps,
+                const std::vector<EltwiseStep> &steps, SimdLevel simd,
                 const ParallelRunner &par)
 {
     SM_ASSERT(!steps.empty(), "empty element-wise chain");
+    const TranscendentalFn transcendental = transcendentalKernel(simd);
     par.run(n, 4096, [&](std::int64_t e0, std::int64_t e1) {
         for (std::int64_t b = e0; b < e1; b += kChainBlock) {
             const std::int64_t len = std::min(kChainBlock, e1 - b);
-            applyStep(steps[0], src + b, dst + b, b, len);
+            applyStep(steps[0], transcendental, src + b, dst + b, b, len);
             for (std::size_t i = 1; i < steps.size(); ++i)
-                applyStep(steps[i], dst + b, dst + b, b, len);
+                applyStep(steps[i], transcendental, dst + b, dst + b, b,
+                          len);
         }
     });
 }
@@ -1157,29 +1738,18 @@ runEltwiseChain(const float *src, float *dst, std::int64_t n,
 
 void
 blockedSoftmax(const float *x, float *out, const ir::Shape &shape,
-               int axis, const ParallelRunner &par)
+               int axis, SimdLevel simd, const ParallelRunner &par)
 {
     std::int64_t inner = 1;
     for (int i = axis + 1; i < shape.rank(); ++i)
         inner *= shape.dim(i);
     const std::int64_t extent = shape.dim(axis);
     const std::int64_t outer = shape.numElements() / (inner * extent);
-
+    const SoftmaxSliceFn slice = softmaxSliceKernel(simd);
     par.run(outer, 1, [&](std::int64_t o0, std::int64_t o1) {
-        for (std::int64_t o = o0; o < o1; ++o) {
-            for (std::int64_t i = 0; i < inner; ++i) {
-                const float *xp = x + o * extent * inner + i;
-                float *op = out + o * extent * inner + i;
-                float mx = -1e30f;
-                for (std::int64_t e = 0; e < extent; ++e)
-                    mx = std::max(mx, xp[e * inner]);
-                float denom = 0;
-                for (std::int64_t e = 0; e < extent; ++e)
-                    denom += std::exp(xp[e * inner] - mx);
-                for (std::int64_t e = 0; e < extent; ++e)
-                    op[e * inner] = std::exp(xp[e * inner] - mx) / denom;
-            }
-        }
+        for (std::int64_t o = o0; o < o1; ++o)
+            slice(x + o * extent * inner, out + o * extent * inner,
+                  extent, inner);
     });
 }
 
@@ -1187,53 +1757,27 @@ void
 blockedLayerNorm(const float *x, const float *gamma,
                  std::int64_t gammaLen, const float *beta,
                  std::int64_t betaLen, float *out, std::int64_t outer,
-                 std::int64_t inner, const ParallelRunner &par)
+                 std::int64_t inner, SimdLevel simd,
+                 const ParallelRunner &par)
 {
+    // A broadcast gamma/beta is repeated out to one row up front, so
+    // the row kernels index it directly.
+    std::vector<float> gammaRow, betaRow;
+    auto rowOf = [inner](const float *v, std::int64_t len,
+                         std::vector<float> *row) -> const float * {
+        if (v == nullptr || len == inner)
+            return v;
+        row->resize(static_cast<std::size_t>(inner));
+        for (std::int64_t i = 0; i < inner; ++i)
+            (*row)[static_cast<std::size_t>(i)] = v[i % len];
+        return row->data();
+    };
+    const float *g = rowOf(gamma, gammaLen, &gammaRow);
+    const float *b = rowOf(beta, betaLen, &betaRow);
+    const NormalizeRowFn normalize = normalizeRowKernel(simd);
     par.run(outer, 1, [&](std::int64_t o0, std::int64_t o1) {
-        for (std::int64_t o = o0; o < o1; ++o) {
-            const float *xp = x + o * inner;
-            float *op = out + o * inner;
-            float sum = 0;
-            for (std::int64_t i = 0; i < inner; ++i)
-                sum += xp[i];
-            const float mean = sum / static_cast<float>(inner);
-            float var = 0;
-            for (std::int64_t i = 0; i < inner; ++i)
-                var += (xp[i] - mean) * (xp[i] - mean);
-            var /= static_cast<float>(inner);
-            const float inv = 1.0f / std::sqrt(var + 1e-5f);
-            for (std::int64_t i = 0; i < inner; ++i) {
-                float v = (xp[i] - mean) * inv;
-                if (gamma)
-                    v *= gamma[i % gammaLen];
-                if (beta)
-                    v += beta[i % betaLen];
-                op[i] = v;
-            }
-        }
-    });
-}
-
-void
-blockedInstanceNorm(const float *x, float *out, std::int64_t nc,
-                    std::int64_t hw, const ParallelRunner &par)
-{
-    par.run(nc, 1, [&](std::int64_t o0, std::int64_t o1) {
-        for (std::int64_t o = o0; o < o1; ++o) {
-            const float *xp = x + o * hw;
-            float *op = out + o * hw;
-            float sum = 0;
-            for (std::int64_t i = 0; i < hw; ++i)
-                sum += xp[i];
-            const float mean = sum / static_cast<float>(hw);
-            float var = 0;
-            for (std::int64_t i = 0; i < hw; ++i)
-                var += (xp[i] - mean) * (xp[i] - mean);
-            var /= static_cast<float>(hw);
-            const float inv = 1.0f / std::sqrt(var + 1e-5f);
-            for (std::int64_t i = 0; i < hw; ++i)
-                op[i] = (xp[i] - mean) * inv;
-        }
+        for (std::int64_t o = o0; o < o1; ++o)
+            normalize(x + o * inner, out + o * inner, inner, g, b);
     });
 }
 

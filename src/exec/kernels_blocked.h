@@ -3,8 +3,8 @@
  * Cache-blocked, thread-pooled CPU kernels for the cpu-blocked
  * execution backend, with runtime-dispatched SIMD inner loops.
  *
- * The element-wise (one chain evaluator), normalization and pooling
- * kernels operate on raw row-major float arrays.  The GEMM and
+ * The element-wise (one chain evaluator), normalization, softmax and
+ * pooling kernels operate on raw row-major float arrays.  The GEMM and
  * convolution kernels additionally accept strided *views* (MatView /
  * PlaneLayout) so the
  * backend can hand them tensors in the plan's packed (vec4) or
@@ -263,16 +263,26 @@ std::optional<EltwiseStep> binaryStep(ir::OpKind kind, const float *other,
  * dst[e] = the steps applied in order to src[e], e in [0, n): a
  * standalone op reads its input (src), a fused epilogue runs in place
  * (src == dst).  Parallel over static ranges, each swept in L1-sized
- * blocks one step at a time; the per-element arithmetic is fixed, so
- * output bytes are independent of thread count.
+ * blocks one step at a time.  At the AVX2 and AVX-512 levels the
+ * Gelu, Silu, Sigmoid, Tanh and Exp steps use a polynomial vector exp
+ * (Gelu as x / (1 + exp(-2u)), the tanh form's identity); the other
+ * steps, and every step at the scalar and NEON levels, keep
+ * exec/kernels.cc's formulas.  An element's bytes depend only on its
+ * inputs and `simd`, so they are independent of thread count.
  */
 void runEltwiseChain(const float *src, float *dst, std::int64_t n,
                      const std::vector<EltwiseStep> &steps,
-                     const ParallelRunner &par);
+                     SimdLevel simd, const ParallelRunner &par);
 
-/** Softmax over `axis` (reference semantics), parallel over slices. */
+/**
+ * Softmax over `axis`, parallel over outer slices.  The scalar level
+ * is the reference's loops; the vector levels use the polynomial exp,
+ * sweep a last-axis row with lane-wise max and sum (lanes folded in
+ * ascending order), and a non-last axis one vector of columns at a
+ * time.  x may equal out.
+ */
 void blockedSoftmax(const float *x, float *out, const ir::Shape &shape,
-                    int axis, const ParallelRunner &par);
+                    int axis, SimdLevel simd, const ParallelRunner &par);
 
 /**
  * Streaming fused attention: out = softmax(scale * Q.K^T + bias) . V
@@ -291,7 +301,9 @@ void blockedSoftmax(const float *x, float *out, const ir::Shape &shape,
  *
  * Parallel over batch x row tiles; every row is swept in ascending-j
  * order with block boundaries fixed by `tiles` alone, so output bytes
- * are independent of thread count at a fixed SimdLevel.
+ * are independent of thread count at a fixed SimdLevel.  The vector
+ * levels exponentiate each score block with the polynomial exp and
+ * add its lane-folded sum to the row's denominator.
  */
 void blockedFusedAttention(const float *q, const float *k, const float *v,
                            const float *bias, bool biasBatched,
@@ -301,17 +313,20 @@ void blockedFusedAttention(const float *q, const float *k, const float *v,
                            SimdLevel simd, const TileParams &tiles,
                            const ParallelRunner &par);
 
-/** LayerNorm over the last dim with optional gamma/beta, parallel
- *  over outer slices. */
+/**
+ * Normalizes each of `outer` rows of `inner` floats to zero mean and
+ * unit variance (eps 1e-5), then scales by gamma[i % gammaLen] and
+ * shifts by beta[i % betaLen] when they are non-null; parallel over
+ * rows.  LayerNorm is the last dim; InstanceNorm is the H*W plane of
+ * each (n, c) with no gamma or beta.  The scalar level is the
+ * reference's loops; the vector levels sum each row with lane-wise
+ * accumulators folded in ascending lane order.
+ */
 void blockedLayerNorm(const float *x, const float *gamma,
                       std::int64_t gammaLen, const float *beta,
                       std::int64_t betaLen, float *out,
                       std::int64_t outer, std::int64_t inner,
-                      const ParallelRunner &par);
-
-/** InstanceNorm over H,W per (N,C) plane, parallel over planes. */
-void blockedInstanceNorm(const float *x, float *out, std::int64_t nc,
-                         std::int64_t hw, const ParallelRunner &par);
+                      SimdLevel simd, const ParallelRunner &par);
 
 /** Folded-stats BatchNorm (per-channel affine), parallel over (n,c). */
 void blockedBatchNorm(const float *x, const float *scale,

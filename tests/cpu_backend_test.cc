@@ -27,6 +27,7 @@
 #include "index/loop_nest.h"
 #include "runtime/plan_executor.h"
 #include "support/error.h"
+#include "simd_env_guard.h"
 
 namespace smartmem {
 namespace {
@@ -142,6 +143,67 @@ TEST(CpuBackendOpCoverage, RareOpsMatchReference)
                     << "batch " << batch << " stage " << stage
                     << " threads " << threads;
             }
+        }
+    }
+}
+
+/**
+ * The tiny zoo runs Gelu and Relu only.  This graph runs the other
+ * transcendentals both as chain heads (each reads the graph input out
+ * of place) and folded as one epilogue chain after a MatMul, plus an
+ * InstanceNorm and a Softmax over a non-last axis.
+ */
+ir::Graph
+transcendentalGraph()
+{
+    using ir::OpKind;
+    ir::GraphBuilder b;
+    auto x = b.input("x", ir::Shape({2, 8, 6, 10}));
+    auto heads = b.binary(
+        OpKind::Add,
+        b.binary(OpKind::Add, b.unary(OpKind::Silu, x),
+                 b.unary(OpKind::Sigmoid, x)),
+        b.binary(OpKind::Add, b.unary(OpKind::Tanh, x),
+                 b.unary(OpKind::Exp, x)));
+    auto probs = b.softmax(b.instanceNorm(heads), 1);
+    auto flat = b.reshape(probs, {2 * 8 * 6, 10});
+    auto t = b.matmul(flat, b.constant("w", ir::Shape({10, 24})));
+    for (OpKind kind :
+         {OpKind::Silu, OpKind::Sigmoid, OpKind::Tanh, OpKind::Exp})
+        t = b.unary(kind, t);
+    b.markOutput(heads);
+    b.markOutput(probs);
+    b.markOutput(t);
+    return b.finish();
+}
+
+TEST(CpuBackendOpCoverage, TranscendentalsNormAndSoftmaxAtEveryLevel)
+{
+    auto dev = device::adreno740();
+    const ir::Graph g = transcendentalGraph();
+    exec::Executor ex(kSeed);
+    for (int stage : {0, 3}) {
+        auto plan = core::compileStage(g, dev, stage);
+        auto inputs = exec::makeSeededInputs(plan.graph, ex);
+        auto ref = ex.runOutputs(plan.graph, inputs);
+        for (exec::SimdLevel lv : exec::availableSimdLevels()) {
+            SimdEnvGuard guard(exec::simdLevelName(lv));
+            std::vector<std::vector<exec::Tensor>> runs;
+            exec::CpuBackendStats stats;
+            for (int threads : {1, 2, 4}) {
+                exec::CpuBackendOptions o;
+                o.threads = threads;
+                o.seed = kSeed;
+                runs.push_back(exec::CpuBackend(o).run(plan, inputs, &stats));
+            }
+            // The four activations after the MatMul run as its epilogue.
+            EXPECT_GE(stats.fusedEpilogueOps, 4);
+            EXPECT_LE(exec::maxRelDiff(ref, runs[0]), kTolerance)
+                << "stage " << stage << " " << exec::simdLevelName(lv);
+            for (std::size_t r = 1; r < runs.size(); ++r)
+                EXPECT_TRUE(sameBytes(runs[0], runs[r]))
+                    << "stage " << stage << " "
+                    << exec::simdLevelName(lv) << " run " << r;
         }
     }
 }
@@ -425,6 +487,7 @@ runChain(const float *src, const std::vector<exec::EltwiseStep> &steps)
     for (int threads : {1, 2, 4}) {
         exec::Tensor out(kChainOut);
         exec::runEltwiseChain(src, out.data(), out.numElements(), steps,
+                              exec::activeSimdLevel(),
                               exec::ParallelRunner(threads));
         runs.push_back(std::move(out));
     }

@@ -11,18 +11,26 @@
  *    (vec4) and texture-order operands through native strided views
  *    must produce byte-identical results to the same kernel run on
  *    relayout-unpacked row-major buffers, at every dispatch level
- *    reachable on the host.
+ *    reachable on the host.  The vector Gelu/Silu/Sigmoid/Tanh/Exp
+ *    steps stay within 2e-6 of the libm reference, and element-wise
+ *    chains, LayerNorm rows and softmax slices produce the same bytes
+ *    whatever the partition (each element run alone, 1/2/4 threads).
  *  - backend-level: the 18-model zoo matches the reference executor
  *    at every reachable dispatch level (stages 0 and 3), outputs are
- *    byte-identical across thread counts, and CpuBackendStats report
- *    the active level, resolved tiles, and native-view counters.
+ *    byte-identical across thread counts, the scalar level's outputs
+ *    match checksums recorded before the vector element-wise paths,
+ *    and CpuBackendStats report the active level, resolved tiles, and
+ *    native-view counters.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/smartmem_compiler.h"
@@ -36,6 +44,7 @@
 #include "models/models.h"
 #include "runtime/memory_pool.h"
 #include "support/error.h"
+#include "simd_env_guard.h"
 
 namespace smartmem {
 namespace {
@@ -45,34 +54,6 @@ using exec::TileParams;
 
 constexpr std::uint64_t kSeed = 4242;
 constexpr float kTolerance = 1e-4f;
-
-/** Scoped SMARTMEM_SIMD override, restoring the prior value. */
-class SimdEnvGuard
-{
-  public:
-    explicit SimdEnvGuard(const char *level)
-    {
-        if (const char *old = std::getenv("SMARTMEM_SIMD")) {
-            had_ = true;
-            old_ = old;
-        }
-        if (level)
-            setenv("SMARTMEM_SIMD", level, 1);
-        else
-            unsetenv("SMARTMEM_SIMD");
-    }
-    ~SimdEnvGuard()
-    {
-        if (had_)
-            setenv("SMARTMEM_SIMD", old_.c_str(), 1);
-        else
-            unsetenv("SMARTMEM_SIMD");
-    }
-
-  private:
-    bool had_ = false;
-    std::string old_;
-};
 
 // -------------------------------------------------------------------
 // Dispatch
@@ -477,6 +458,287 @@ TEST(NativeKernelViews, DepthwisePackedPlanesMatchBitwise)
 }
 
 // -------------------------------------------------------------------
+// Element-wise transcendentals, row normalization and softmax
+// -------------------------------------------------------------------
+
+/** The reference executor's result of unary `kind` over x. */
+std::vector<float>
+referenceUnary(ir::OpKind kind, const std::vector<float> &x)
+{
+    const ir::Shape shape({static_cast<std::int64_t>(x.size())});
+    ir::GraphBuilder b;
+    const auto y = b.unary(kind, b.input("x", shape));
+    const ir::Graph g = b.finish();
+    exec::Tensor in(shape);
+    std::copy(x.begin(), x.end(), in.data());
+    const exec::Tensor out =
+        exec::evalNode(g, g.node(g.value(y).producer), {&in});
+    return std::vector<float>(out.data(), out.data() + out.numElements());
+}
+
+TEST(EltwiseSimd, TranscendentalsWithinBound)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float denorm = std::numeric_limits<float>::denorm_min();
+    std::vector<float> x;
+    for (int i = -30 * 1024; i <= 30 * 1024; ++i)
+        x.push_back(static_cast<float>(i) / 1024.0f);
+    for (float v = -120.0f; v <= 120.0f; v += 0.37f)
+        x.push_back(v);
+    for (float v : {0.0f, 87.0f, 88.0f, 100.0f, inf, 1e-40f, denorm,
+                    std::numeric_limits<float>::min() / 2.0f, 1e30f,
+                    std::numeric_limits<float>::max()}) {
+        x.push_back(v);
+        x.push_back(-v);
+    }
+    x.push_back(std::numeric_limits<float>::quiet_NaN());
+    const exec::ParallelRunner par(1);
+    for (ir::OpKind kind :
+         {ir::OpKind::Gelu, ir::OpKind::Silu, ir::OpKind::Sigmoid,
+          ir::OpKind::Tanh, ir::OpKind::Exp}) {
+        const std::vector<float> ref = referenceUnary(kind, x);
+        for (SimdLevel lv : exec::availableSimdLevels()) {
+            std::vector<float> got(x.size());
+            exec::runEltwiseChain(x.data(), got.data(),
+                                  static_cast<std::int64_t>(x.size()),
+                                  {exec::EltwiseStep{kind}}, lv, par);
+            int bad = 0;
+            for (std::size_t i = 0; i < x.size() && bad < 5; ++i) {
+                const float r = ref[i], v = got[i];
+                bool ok;
+                if (std::isnan(x[i]) || std::isnan(r)) {
+                    ok = std::isnan(v);
+                } else if (std::isinf(r)) {
+                    ok = v == r;
+                } else {
+                    const float err = std::fabs(v - r);
+                    ok = err <= 2e-6f * std::max(1.0f, std::fabs(r));
+                    // Exp: relative, plus the subnormal spacing no
+                    // float result can beat below FLT_MIN.
+                    if (kind == ir::OpKind::Exp)
+                        ok = ok && err <= 2e-6f * std::fabs(r) + denorm;
+                    if (kind != ir::OpKind::Exp && std::isfinite(x[i]))
+                        ok = ok && std::isfinite(v);
+                }
+                if (!ok) {
+                    ++bad;
+                    ADD_FAILURE() << ir::opKindName(kind) << " at "
+                                  << exec::simdLevelName(lv) << ": x "
+                                  << x[i] << " ref " << r << " got " << v;
+                }
+            }
+        }
+    }
+}
+
+/** Seeded values in [-lim, lim]. */
+std::vector<float>
+seededValues(std::size_t n, std::uint32_t seed, float lim)
+{
+    std::vector<float> v(n);
+    std::uint32_t r = seed;
+    for (float &f : v) {
+        r = r * 1664525u + 1013904223u;
+        f = lim * (static_cast<float>(r >> 8) / 8388608.0f - 1.0f);
+    }
+    return v;
+}
+
+bool
+sameFloats(const float *a, const float *b, std::int64_t n)
+{
+    return std::memcmp(a, b, static_cast<std::size_t>(n) *
+                                 sizeof(float)) == 0;
+}
+
+/** Runs kernel(in, out) on a copy of [src, src + n) placed `shift`
+ *  floats into a fresh buffer, so the copy sits at another alignment
+ *  than the original, and writes the result to dst. */
+template <class Kernel>
+void
+runShifted(const float *src, float *dst, std::int64_t n,
+           std::int64_t shift, Kernel kernel)
+{
+    std::vector<float> in(static_cast<std::size_t>(n + shift));
+    std::vector<float> out(in.size());
+    std::copy(src, src + n, in.begin() + shift);
+    kernel(in.data() + shift, out.data() + shift);
+    std::copy(out.begin() + shift, out.end(), dst);
+}
+
+/** `step` as seen by output e of a chain run over [e, e + 1) alone:
+ *  the operand element e reads becomes the operand's only element. */
+exec::EltwiseStep
+stepAlone(exec::EltwiseStep step, std::int64_t e)
+{
+    if (step.other != nullptr)
+        step.other += (e / step.inner) % step.m;
+    step.inner = 1;
+    step.m = 1;
+    return step;
+}
+
+TEST(EltwiseSimd, ChainBytesIndependentOfPartition)
+{
+    constexpr std::int64_t n = 3 * 4096 + 13;
+    const std::vector<float> data = seededValues(n + 16, 21, 6.0f);
+    const std::vector<float> channel = seededValues(7, 22, 2.0f);
+    const std::vector<float> row = seededValues(40, 23, 3.0f);
+    using K = ir::OpKind;
+    const std::vector<std::vector<exec::EltwiseStep>> chains = {
+        {{K::Gelu}},
+        {{K::Silu}, {K::Mul, 1.0f, channel.data(), 96, 7, false}},
+        {{K::Sigmoid},
+         {K::Div, 1.0f, row.data(), 1, 40, /*reversed=*/true},
+         {K::Tanh}},
+        {{K::Tanh}, {K::Exp}},
+        {{K::Scale, 0.5f}, {K::Exp}, {K::Add, 1.0f, channel.data(), 3, 7,
+                                      false}},
+    };
+    for (SimdLevel lv : exec::availableSimdLevels()) {
+        const exec::ParallelRunner serial(1);
+        for (std::size_t c = 0; c < chains.size(); ++c) {
+            for (std::int64_t off = 0; off < 16; ++off) {
+                const float *src = data.data() + off;
+                std::vector<float> alone(n);
+                for (std::int64_t e = 0; e < n; ++e) {
+                    std::vector<exec::EltwiseStep> steps;
+                    for (const exec::EltwiseStep &st : chains[c])
+                        steps.push_back(stepAlone(st, e));
+                    exec::runEltwiseChain(src + e, alone.data() + e, 1,
+                                          steps, lv, serial);
+                }
+                for (int threads : {1, 2, 4}) {
+                    std::vector<float> got(n);
+                    exec::runEltwiseChain(src, got.data(), n, chains[c],
+                                          lv, exec::ParallelRunner(threads));
+                    EXPECT_TRUE(sameFloats(got.data(), alone.data(), n))
+                        << exec::simdLevelName(lv) << " chain " << c
+                        << " offset " << off << " threads " << threads;
+                }
+            }
+        }
+    }
+}
+
+TEST(NormSimd, LayerNormRowsIndependentOfPartition)
+{
+    struct Case
+    {
+        std::int64_t inner, gammaLen, betaLen;
+    };
+    constexpr std::int64_t outer = 37;
+    for (const Case &c : {Case{7, 1, 7}, Case{96, 96, 32},
+                          Case{100, 25, 100}, Case{768, 768, 768}}) {
+        const std::vector<float> x =
+            seededValues(static_cast<std::size_t>(outer * c.inner), 31,
+                         4.0f);
+        const std::vector<float> gamma = seededValues(
+            static_cast<std::size_t>(c.gammaLen), 32, 2.0f);
+        const std::vector<float> beta = seededValues(
+            static_cast<std::size_t>(c.betaLen), 33, 1.0f);
+        // The reference executor's LayerNorm over the same rows.
+        ir::GraphBuilder b;
+        const ir::Shape xs({outer, c.inner}), gs({c.gammaLen}),
+            bs({c.betaLen});
+        const auto y = b.layerNorm(b.input("x", xs), b.input("g", gs),
+                                   b.input("b", bs));
+        const ir::Graph g = b.finish();
+        exec::Tensor tx(xs), tg(gs), tb(bs);
+        std::copy(x.begin(), x.end(), tx.data());
+        std::copy(gamma.begin(), gamma.end(), tg.data());
+        std::copy(beta.begin(), beta.end(), tb.data());
+        const exec::Tensor ref =
+            exec::evalNode(g, g.node(g.value(y).producer), {&tx, &tg, &tb});
+
+        for (SimdLevel lv : exec::availableSimdLevels()) {
+            // Each row alone, from a copy at another alignment.
+            std::vector<float> alone(x.size());
+            for (std::int64_t o = 0; o < outer; ++o)
+                runShifted(x.data() + o * c.inner,
+                           alone.data() + o * c.inner, c.inner, 1 + o % 15,
+                           [&](const float *in, float *out) {
+                               exec::blockedLayerNorm(
+                                   in, gamma.data(), c.gammaLen,
+                                   beta.data(), c.betaLen, out, 1, c.inner,
+                                   lv, exec::ParallelRunner(1));
+                           });
+            exec::Tensor got(xs);
+            std::copy(alone.begin(), alone.end(), got.data());
+            EXPECT_LE(exec::maxRelDiff({ref}, {got}), kTolerance)
+                << exec::simdLevelName(lv) << " inner " << c.inner;
+            for (int threads : {1, 2, 4}) {
+                std::vector<float> all(x.size());
+                exec::blockedLayerNorm(x.data(), gamma.data(), c.gammaLen,
+                                       beta.data(), c.betaLen, all.data(),
+                                       outer, c.inner, lv,
+                                       exec::ParallelRunner(threads));
+                EXPECT_TRUE(sameFloats(all.data(), alone.data(),
+                                       outer * c.inner))
+                    << exec::simdLevelName(lv) << " inner " << c.inner
+                    << " threads " << threads;
+            }
+        }
+    }
+}
+
+TEST(SoftmaxSimd, SlicesIndependentOfPartition)
+{
+    // A non-last axis (columns, with a lane tail) and the last axis;
+    // shifted to [-258, -242], a max taken over padding lanes as well
+    // would underflow every exp.
+    for (auto [axis, offset] : {std::pair{1, 0.0f}, std::pair{2, 0.0f},
+                                std::pair{1, -250.0f},
+                                std::pair{2, -250.0f}}) {
+        const ir::Shape shape({5, 9, 21});
+        const std::int64_t outer = shape.dim(0);
+        const std::int64_t slice = shape.numElements() / outer;
+        const ir::Shape sliceShape({1, 9, 21});
+        std::vector<float> x = seededValues(
+            static_cast<std::size_t>(shape.numElements()), 41, 8.0f);
+        for (float &v : x)
+            v += offset;
+        ir::GraphBuilder b;
+        const auto y = b.softmax(b.input("x", shape), axis);
+        const ir::Graph g = b.finish();
+        exec::Tensor tx(shape);
+        std::copy(x.begin(), x.end(), tx.data());
+        const exec::Tensor ref =
+            exec::evalNode(g, g.node(g.value(y).producer), {&tx});
+
+        for (SimdLevel lv : exec::availableSimdLevels()) {
+            // Each slice alone, from a copy at another alignment.
+            exec::Tensor alone(shape);
+            for (std::int64_t o = 0; o < outer; ++o)
+                runShifted(x.data() + o * slice, alone.data() + o * slice,
+                           slice, 1 + o,
+                           [&](const float *in, float *out) {
+                               exec::blockedSoftmax(in, out, sliceShape,
+                                                    axis, lv,
+                                                    exec::ParallelRunner(1));
+                           });
+            EXPECT_LE(exec::maxRelDiff({ref}, {alone}), kTolerance)
+                << exec::simdLevelName(lv) << " axis " << axis << " offset "
+                << offset;
+            EXPECT_TRUE(std::all_of(alone.data(),
+                                    alone.data() + alone.numElements(),
+                                    [](float v) { return std::isfinite(v); }))
+                << exec::simdLevelName(lv) << " axis " << axis << " offset "
+                << offset;
+            for (int threads : {1, 2, 4}) {
+                exec::Tensor all(shape);
+                exec::blockedSoftmax(x.data(), all.data(), shape, axis, lv,
+                                     exec::ParallelRunner(threads));
+                EXPECT_TRUE(sameFloats(all.data(), alone.data(),
+                                       shape.numElements()))
+                    << exec::simdLevelName(lv) << " axis " << axis
+                    << " threads " << threads;
+            }
+        }
+    }
+}
+
+// -------------------------------------------------------------------
 // Backend integration
 // -------------------------------------------------------------------
 
@@ -547,6 +809,55 @@ TEST(CpuBackendSimd, ZooUsesNativeLayoutViews)
     }
     EXPECT_GT(views, 0);
     EXPECT_GT(stores, 0);
+}
+
+/** FNV-1a over the bytes of every output, in order. */
+std::uint64_t
+outputChecksum(const std::vector<exec::Tensor> &outs)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    for (const exec::Tensor &t : outs) {
+        const auto *p = reinterpret_cast<const unsigned char *>(t.data());
+        const std::size_t bytes =
+            static_cast<std::size_t>(t.numElements()) * sizeof(float);
+        for (std::size_t i = 0; i < bytes; ++i)
+            h = (h ^ p[i]) * 1099511628211ull;
+    }
+    return h;
+}
+
+TEST(CpuBackendSimd, ScalarLevelKeepsTheReferenceArithmetic)
+{
+    // The scalar level is the libm reference arithmetic in the
+    // reference loop order: its stage-3 outputs on the tiny zoo are
+    // pinned to checksums recorded before the vector element-wise,
+    // normalization and softmax paths existed (x86-64, glibc's expf
+    // and tanhf; a libm that rounds those differently needs them
+    // recorded again).
+    struct Pinned
+    {
+        const char *model;
+        std::uint64_t checksum;
+    };
+    const Pinned pinned[] = {
+        {"Swin", 0xa2c0dca0ebc1e5b1ull},
+        {"ViT", 0x95ea71d3c9b5bb46ull},
+        {"ResNext", 0xd97bc12db68faa13ull},
+    };
+    SimdEnvGuard guard("scalar");
+    auto dev = device::adreno740();
+    for (const Pinned &p : pinned) {
+        auto plan =
+            core::compileStage(models::buildTinyVariant(p.model, 1), dev, 3);
+        exec::Executor ex(kSeed);
+        auto inputs = exec::makeSeededInputs(plan.graph, ex);
+        exec::CpuBackendOptions o;
+        o.threads = 1;
+        o.seed = kSeed;
+        EXPECT_EQ(outputChecksum(exec::CpuBackend(o).run(plan, inputs)),
+                  p.checksum)
+            << p.model;
+    }
 }
 
 class ZooSimdParity : public ::testing::TestWithParam<std::string>
